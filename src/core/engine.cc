@@ -932,18 +932,33 @@ RepairEngine::runInternal(const EngineState *restore)
         std::vector<Patch> planned;
         int attempts = 0;
         const int max_attempts = offspring * 16 + 16;
+        // popn is fixed while planning and localization draws no RNG,
+        // so each parent's tree and fault localization are built once
+        // per generation, however often the tournament picks it.
+        struct ParentPlan
+        {
+            std::unique_ptr<SourceFile> ast;
+            FaultLocResult fl;
+        };
+        std::vector<ParentPlan> parent_plans(popn.size());
         while (static_cast<int>(planned.size()) < offspring &&
                attempts++ < max_attempts) {
             if (elapsed() >= config_.maxSeconds || stopRequested())
                 break;
             const Variant &parent = tournament(popn);
-            auto parent_ast = applyPatch(*faulty_, parent.patch);
+            ParentPlan &pp =
+                parent_plans[static_cast<size_t>(&parent - popn.data())];
+            if (!pp.ast) {
+                pp.ast = applyPatch(*faulty_, parent.patch);
+                if (config_.relocalize)
+                    pp.fl = localize(parent, *pp.ast);
+            }
+            const SourceFile *parent_ast = pp.ast.get();
             const Module *dut = parent_ast->findModule(dutModule_);
             if (!dut)
                 break;
-            FaultLocResult fl =
-                config_.relocalize ? localize(parent, *parent_ast)
-                                   : static_fl;
+            const FaultLocResult &fl =
+                config_.relocalize ? pp.fl : static_fl;
 
             if (uniform(rng_) <= config_.rtThreshold) {
                 // Repair templates.

@@ -462,12 +462,10 @@ class ModuleCompiler
             // the WriteTarget the interpreter would resolve on every
             // execution is a constant; resolve it once here.
             slot.fixed = resolveLValue(design_, scope_, lhs);
-            if (slot.fixed.slots.size() == 1 && slot.fixed.slots[0].ok &&
-                slot.fixed.slots[0].sig &&
-                slot.fixed.slots[0].lsb == 0 &&
-                slot.fixed.slots[0].width ==
-                    slot.fixed.slots[0].sig->width())
-                slot.sig = slot.fixed.slots[0].sig;
+            const WriteSlot &only = slot.fixed.first;
+            if (slot.fixed.count == 1 && only.sig && only.lsb == 0 &&
+                only.width == only.sig->width())
+                slot.sig = only.sig;
             else
                 slot.fixed = WriteTarget{};  // unresolved: re-resolve
         }

@@ -1,5 +1,7 @@
 #include "sim/design.h"
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "sim/compiled.h"
@@ -48,6 +50,174 @@ InstanceScope::findFunction(const std::string &name) const
 {
     auto it = functions.find(name);
     return it == functions.end() ? nullptr : it->second;
+}
+
+NameBinding
+InstanceScope::bindSlow(const verilog::Node &n)
+{
+    // Number the node on first use. Designs sharing one AST may race
+    // here; the compare-exchange keeps the first number, and a lost
+    // race only leaves a gap in the module's numbering.
+    static std::atomic<int32_t> orphanSlots{0};
+    std::atomic<int32_t> &counter =
+        module ? module->bindSlots : orphanSlots;
+    int32_t s = n.bindSlot.load(std::memory_order_relaxed);
+    if (s < 0) {
+        int32_t fresh = counter.fetch_add(1, std::memory_order_relaxed);
+        if (n.bindSlot.compare_exchange_strong(
+                s, fresh, std::memory_order_relaxed))
+            s = fresh;
+    }
+    size_t slot = static_cast<size_t>(s);
+    if (slot >= bindings_.size())
+        bindings_.resize(std::max<size_t>(
+            slot + 1, static_cast<size_t>(counter.load(
+                          std::memory_order_relaxed))));
+    // A node moved between modules can meet a slot already bound to
+    // another node; it simply takes the entry over.
+    NameBinding b = resolve(n);
+    b.node = &n;
+    bindings_[slot] = b;
+    return b;
+}
+
+NameBinding
+InstanceScope::resolve(const verilog::Node &n)
+{
+    using verilog::NodeKind;
+    NameBinding b;
+    auto signal = [&](const std::string &name) {
+        auto it = signals.find(name);
+        if (it == signals.end() || !it->second.sig)
+            return false;
+        b.kind = NameBinding::Kind::Signal;
+        b.sig = it->second.sig;
+        b.lsb = it->second.lsb;
+        return true;
+    };
+    auto memory = [&](const std::string &name) {
+        Memory *m = findMemory(name);
+        if (!m)
+            return false;
+        b.kind = NameBinding::Kind::Memory;
+        b.mem = m;
+        return true;
+    };
+    auto param = [&](const std::string &name) {
+        auto it = params.find(name);
+        if (it == params.end())
+            return false;
+        b.kind = NameBinding::Kind::Param;
+        b.param = &it->second;
+        return true;
+    };
+    switch (n.kind) {
+      case NodeKind::Ident: {
+        const std::string &name = n.as<verilog::Ident>()->name;
+        signal(name) || param(name);
+        break;
+      }
+      case NodeKind::Index: {
+        const std::string &name = n.as<verilog::Index>()->name;
+        memory(name) || signal(name) || param(name);
+        break;
+      }
+      case NodeKind::RangeSel: {
+        const std::string &name = n.as<verilog::RangeSel>()->name;
+        signal(name) || param(name);
+        break;
+      }
+      case NodeKind::TriggerEvent:
+        if (NamedEvent *ev =
+                findEvent(n.as<verilog::TriggerEvent>()->name)) {
+            b.kind = NameBinding::Kind::Event;
+            b.event = ev;
+        }
+        break;
+      case NodeKind::EventCtrl:
+      case NodeKind::Wait:
+        sensitivities_.push_back(buildSensitivity(n));
+        b.kind = NameBinding::Kind::Sens;
+        b.sens = sensitivities_.back().get();
+        break;
+      default:
+        break;
+    }
+    return b;
+}
+
+std::unique_ptr<Sensitivity>
+InstanceScope::buildSensitivity(const verilog::Node &n) const
+{
+    using verilog::Edge;
+    using verilog::NodeKind;
+    auto sens = std::make_unique<Sensitivity>();
+    auto &out = sens->entries;
+    auto addSignal = [&](Signal *sig, Edge edge) {
+        Sensitivity::Entry e;
+        e.sig = sig;
+        e.edge = edge;
+        out.push_back(e);
+    };
+    // A plain name in an event list: a signal, else a named event.
+    auto addByName = [&](const std::string &name, Edge edge) {
+        if (SignalRef r = findSignal(name); r.sig) {
+            addSignal(r.sig, edge);
+        } else if (NamedEvent *ev = findEvent(name)) {
+            Sensitivity::Entry e;
+            e.event = ev;
+            out.push_back(e);
+        }
+    };
+
+    if (n.kind == NodeKind::Wait) {
+        // wait (cond): any change of a signal the condition reads.
+        for (auto &name : collectIdents(*n.as<verilog::Wait>()->cond))
+            if (SignalRef r = findSignal(name); r.sig)
+                addSignal(r.sig, Edge::Level);
+        return sens;
+    }
+
+    auto *ec = n.as<verilog::EventCtrl>();
+    if (ec->star) {
+        // @*: any change of a distinct signal read in the body.
+        if (!ec->stmt)
+            return sens;
+        for (auto &name : collectIdents(*ec->stmt)) {
+            SignalRef r = findSignal(name);
+            if (!r.sig)
+                continue;
+            bool dup = false;
+            for (auto &e : out)
+                dup |= (e.sig == r.sig);
+            if (!dup)
+                addSignal(r.sig, Edge::Level);
+        }
+        return sens;
+    }
+    for (auto &ev : ec->events) {
+        const verilog::Expr &sig = *ev.signal;
+        if (sig.kind == NodeKind::Ident) {
+            addByName(sig.as<verilog::Ident>()->name, ev.edge);
+        } else if (sig.kind == NodeKind::Index) {
+            auto *ix = sig.as<verilog::Index>();
+            SignalRef r = findSignal(ix->name);
+            if (!r.sig)
+                continue;
+            Sensitivity::Entry e;
+            e.sig = r.sig;
+            e.edge = ev.edge;
+            e.index = ix->index.get();
+            e.lsb = r.lsb;
+            out.push_back(e);
+            sens->hasIndex = true;
+        } else {
+            // General expressions: watch every identifier they read.
+            for (auto &name : collectIdents(sig))
+                addByName(name, Edge::Level);
+        }
+    }
+    return sens;
 }
 
 Design::Design() = default;

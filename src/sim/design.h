@@ -116,6 +116,55 @@ struct SignalRef
     int lsb = 0;
 };
 
+/**
+ * The resolved waiting set of one event control or wait statement in
+ * one scope, in source order.
+ */
+struct Sensitivity
+{
+    struct Entry
+    {
+        Signal *sig = nullptr;        //!< signal to watch, or
+        NamedEvent *event = nullptr;  //!< named event to wait on
+        verilog::Edge edge = verilog::Edge::Level;
+        /** Bit select whose index is evaluated at each wait; the
+         *  watched bit is then index - lsb. Null: the LSB (for an
+         *  edge) or the whole vector. */
+        const verilog::Expr *index = nullptr;
+        int lsb = 0;
+    };
+    std::vector<Entry> entries;
+    bool hasIndex = false;  //!< some entry has a run-time index
+};
+
+/**
+ * What one name-bearing AST node denotes in one instance scope.
+ *
+ * Resolution precedence (fixed per node kind):
+ *   Ident:        signal, then parameter
+ *   Index:        memory, then signal, then parameter
+ *   RangeSel:     signal, then parameter
+ *   TriggerEvent: named event
+ *   EventCtrl/Wait: their Sensitivity
+ * Writers treat a parameter as no target.
+ */
+struct NameBinding
+{
+    enum class Kind : uint8_t { None, Signal, Memory, Param, Event, Sens };
+
+    const verilog::Node *node = nullptr;  //!< node this entry belongs to
+    union {
+        Signal *sig;
+        Memory *mem;
+        const LogicVec *param;
+        NamedEvent *event;
+        const Sensitivity *sens;
+        const void *any = nullptr;
+    };
+    int lsb = 0;  //!< declared LSB of a signal
+    Kind kind = Kind::None;
+};
+
 /** One instance in the elaborated hierarchy. */
 struct InstanceScope
 {
@@ -137,6 +186,32 @@ struct InstanceScope
     NamedEvent *findEvent(const std::string &name) const;
     const verilog::FunctionDecl *
     findFunction(const std::string &name) const;
+
+    /**
+     * What @p n denotes here. The first call per (node, scope) looks
+     * the name up in the maps above and stores the result in a dense
+     * table indexed by the node's Node::bindSlot; later calls are one
+     * index and one pointer compare. Returned by value: binding another
+     * node may grow the table.
+     */
+    NameBinding
+    bind(const verilog::Node &n)
+    {
+        int32_t s = n.bindSlot.load(std::memory_order_relaxed);
+        if (s >= 0 && static_cast<size_t>(s) < bindings_.size() &&
+            bindings_[static_cast<size_t>(s)].node == &n)
+            return bindings_[static_cast<size_t>(s)];
+        return bindSlow(n);
+    }
+
+  private:
+    NameBinding bindSlow(const verilog::Node &n);
+    NameBinding resolve(const verilog::Node &n);
+    std::unique_ptr<Sensitivity>
+    buildSensitivity(const verilog::Node &n) const;
+
+    std::vector<NameBinding> bindings_;
+    std::vector<std::unique_ptr<Sensitivity>> sensitivities_;
 };
 
 /** Tunable resource bounds for one simulation run. */

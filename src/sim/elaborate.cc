@@ -74,7 +74,8 @@ class Elaborator
         Design *d = &design_;
         auto pending = std::make_shared<bool>(false);
         auto update = [d, &rd_scope, &rhs, dst] {
-            dst->set(evalExpr(rhs, rd_scope, *d));
+            std::optional<LogicVec> t;
+            dst->set(evalRef(rhs, rd_scope, *d, t));
         };
         auto schedule = [d, pending, update] {
             if (*pending)
@@ -122,7 +123,8 @@ class Elaborator
         const Expr *lp = &lhs, *rp = &rhs;
         auto update = [d, sp, lp, rp] {
             WriteTarget t = resolveLValue(*d, *sp, *lp);
-            performWrite(t, evalExpr(*rp, *sp, *d));
+            std::optional<LogicVec> v;
+            performWrite(t, evalRef(*rp, *sp, *d, v));
         };
         auto schedule = [d, pending, update] {
             if (*pending)

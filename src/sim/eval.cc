@@ -169,53 +169,58 @@ mergeTernary(const LogicVec &t, const LogicVec &e)
 LogicVec
 evalExpr(const Expr &e, InstanceScope &scope, Design &design)
 {
+    using Kind = NameBinding::Kind;
     switch (e.kind) {
       case NodeKind::Number:
         return e.as<Number>()->value;
       case NodeKind::Ident: {
-        const std::string &n = e.as<Ident>()->name;
-        if (SignalRef r = scope.findSignal(n); r.sig)
-            return r.sig->value();
-        auto p = scope.params.find(n);
-        if (p != scope.params.end())
-            return p->second;
+        NameBinding b = scope.bind(e);
+        if (b.kind == Kind::Signal)
+            return b.sig->value();
+        if (b.kind == Kind::Param)
+            return *b.param;
         return LogicVec::xs(1);
       }
       case NodeKind::Index: {
         auto *ix = e.as<Index>();
-        LogicVec idx = evalExpr(*ix->index, scope, design);
-        if (Memory *mem = scope.findMemory(ix->name))
-            return mem->read(idx);
-        LogicVec base(1, Bit::X);
+        std::optional<LogicVec> t;
+        const LogicVec &idx = evalRef(*ix->index, scope, design, t);
+        NameBinding b = scope.bind(e);
+        const LogicVec *base = nullptr;
         int lsb = 0;
-        if (SignalRef r = scope.findSignal(ix->name); r.sig) {
-            base = r.sig->value();
-            lsb = r.lsb;
-        } else if (auto p = scope.params.find(ix->name);
-                   p != scope.params.end()) {
-            base = p->second;
-        } else {
+        switch (b.kind) {
+          case Kind::Memory:
+            return b.mem->read(idx);
+          case Kind::Signal:
+            base = &b.sig->value();
+            lsb = b.lsb;
+            break;
+          case Kind::Param:
+            base = b.param;
+            break;
+          default:
             return LogicVec::xs(1);
         }
         if (idx.hasUnknown())
             return LogicVec::xs(1);
         int bit = static_cast<int>(idx.toUint64()) - lsb;
         LogicVec out(1, Bit::X);
-        out.setBit(0, base.bit(bit));
+        out.setBit(0, base->bit(bit));
         return out;
       }
       case NodeKind::RangeSel: {
         auto *r = e.as<RangeSel>();
-        LogicVec m = evalExpr(*r->msb, scope, design);
-        LogicVec l = evalExpr(*r->lsb, scope, design);
-        LogicVec base(1, Bit::X);
+        std::optional<LogicVec> tm, tl;
+        const LogicVec &m = evalRef(*r->msb, scope, design, tm);
+        const LogicVec &l = evalRef(*r->lsb, scope, design, tl);
+        NameBinding b = scope.bind(e);
+        const LogicVec *base = nullptr;
         int lsb_off = 0;
-        if (SignalRef sr = scope.findSignal(r->name); sr.sig) {
-            base = sr.sig->value();
-            lsb_off = sr.lsb;
-        } else if (auto p = scope.params.find(r->name);
-                   p != scope.params.end()) {
-            base = p->second;
+        if (b.kind == Kind::Signal) {
+            base = &b.sig->value();
+            lsb_off = b.lsb;
+        } else if (b.kind == Kind::Param) {
+            base = b.param;
         } else {
             return LogicVec::xs(1);
         }
@@ -225,20 +230,24 @@ evalExpr(const Expr &e, InstanceScope &scope, Design &design)
         int lsb = static_cast<int>(l.toUint64()) - lsb_off;
         if (msb < lsb)
             return LogicVec::xs(1);
-        return base.slice(msb, lsb);
+        return base->slice(msb, lsb);
       }
       case NodeKind::Unary: {
         auto *u = e.as<Unary>();
-        return applyUnary(u->op, evalExpr(*u->operand, scope, design));
+        std::optional<LogicVec> t;
+        return applyUnary(u->op, evalRef(*u->operand, scope, design, t));
       }
       case NodeKind::Binary: {
         auto *b = e.as<Binary>();
-        return applyBinary(b->op, evalExpr(*b->lhs, scope, design),
-                           evalExpr(*b->rhs, scope, design));
+        std::optional<LogicVec> ta, tb;
+        const LogicVec &lhs = evalRef(*b->lhs, scope, design, ta);
+        const LogicVec &rhs = evalRef(*b->rhs, scope, design, tb);
+        return applyBinary(b->op, lhs, rhs);
       }
       case NodeKind::Ternary: {
         auto *t = e.as<Ternary>();
-        LogicVec c = evalExpr(*t->cond, scope, design);
+        std::optional<LogicVec> tc;
+        const LogicVec &c = evalRef(*t->cond, scope, design, tc);
         if (c.hasOne())
             return evalExpr(*t->thenExpr, scope, design);
         if (!c.hasUnknown())
@@ -248,19 +257,21 @@ evalExpr(const Expr &e, InstanceScope &scope, Design &design)
       }
       case NodeKind::Concat: {
         auto *c = e.as<Concat>();
-        LogicVec acc(1, Bit::Zero);
-        bool first = true;
-        for (auto &p : c->parts) {
-            LogicVec v = evalExpr(*p, scope, design);
-            acc = first ? v : LogicVec::concat(acc, v);
-            first = false;
+        if (c->parts.empty())
+            return LogicVec(1, Bit::Zero);
+        LogicVec acc = evalExpr(*c->parts[0], scope, design);
+        for (size_t i = 1; i < c->parts.size(); ++i) {
+            std::optional<LogicVec> t;
+            acc = LogicVec::concat(
+                acc, evalRef(*c->parts[i], scope, design, t));
         }
         return acc;
       }
       case NodeKind::Repl: {
         auto *r = e.as<Repl>();
-        LogicVec n = evalExpr(*r->count, scope, design);
-        LogicVec v = evalExpr(*r->value, scope, design);
+        std::optional<LogicVec> tn, tv;
+        const LogicVec &n = evalRef(*r->count, scope, design, tn);
+        const LogicVec &v = evalRef(*r->value, scope, design, tv);
         if (n.hasUnknown() || n.toUint64() == 0 || n.toUint64() > 4096)
             return LogicVec::xs(v.width());
         return v.replicate(static_cast<int>(n.toUint64()));
@@ -360,71 +371,81 @@ void
 resolveInto(Design &design, InstanceScope &scope, const Expr &lhs,
             WriteTarget &out)
 {
+    using Kind = NameBinding::Kind;
+    WriteSlot s;
     switch (lhs.kind) {
       case NodeKind::Ident: {
-        WriteSlot s;
-        if (SignalRef r = scope.findSignal(lhs.as<Ident>()->name);
-            r.sig) {
-            s.sig = r.sig;
-            s.lsb = 0;
-            s.width = r.sig->width();
-            s.ok = true;
+        NameBinding b = scope.bind(lhs);
+        if (b.kind == Kind::Signal) {
+            s.sig = b.sig;
+            s.width = b.sig->width();
         }
-        out.slots.push_back(std::move(s));
         break;
       }
       case NodeKind::Index: {
         auto *ix = lhs.as<Index>();
-        WriteSlot s;
-        LogicVec idx = evalExpr(*ix->index, scope, design);
-        if (Memory *mem = scope.findMemory(ix->name)) {
-            s.mem = mem;
-            s.addr = idx;
-            s.width = mem->width();
-            s.ok = !idx.hasUnknown();
-        } else if (SignalRef r = scope.findSignal(ix->name); r.sig) {
-            s.sig = r.sig;
-            s.width = 1;
+        std::optional<LogicVec> t;
+        const LogicVec &idx = evalRef(*ix->index, scope, design, t);
+        NameBinding b = scope.bind(lhs);
+        if (b.kind == Kind::Memory) {
+            s.width = b.mem->width();
             if (!idx.hasUnknown()) {
-                int bit = static_cast<int>(idx.toUint64()) - r.lsb;
-                if (bit >= 0 && bit < r.sig->width()) {
-                    s.lsb = bit;
-                    s.ok = true;
-                }
+                s.mem = b.mem;
+                s.addr = static_cast<int64_t>(idx.toUint64());
+            }
+        } else if (b.kind == Kind::Signal && !idx.hasUnknown()) {
+            int bit = static_cast<int>(idx.toUint64()) - b.lsb;
+            if (bit >= 0 && bit < b.sig->width()) {
+                s.sig = b.sig;
+                s.lsb = bit;
             }
         }
-        out.slots.push_back(std::move(s));
         break;
       }
       case NodeKind::RangeSel: {
         auto *rs = lhs.as<RangeSel>();
-        WriteSlot s;
-        LogicVec m = evalExpr(*rs->msb, scope, design);
-        LogicVec l = evalExpr(*rs->lsb, scope, design);
-        if (SignalRef r = scope.findSignal(rs->name);
-            r.sig && !m.hasUnknown() && !l.hasUnknown()) {
-            int msb = static_cast<int>(m.toUint64()) - r.lsb;
-            int lsb = static_cast<int>(l.toUint64()) - r.lsb;
-            if (msb >= lsb && lsb >= 0 && msb < r.sig->width()) {
-                s.sig = r.sig;
+        std::optional<LogicVec> tm, tl;
+        const LogicVec &m = evalRef(*rs->msb, scope, design, tm);
+        const LogicVec &l = evalRef(*rs->lsb, scope, design, tl);
+        NameBinding b = scope.bind(lhs);
+        if (b.kind == Kind::Signal && !m.hasUnknown() &&
+            !l.hasUnknown()) {
+            int msb = static_cast<int>(m.toUint64()) - b.lsb;
+            int lsb = static_cast<int>(l.toUint64()) - b.lsb;
+            if (msb >= lsb)
+                s.width = msb - lsb + 1;
+            if (msb >= lsb && lsb >= 0 && msb < b.sig->width()) {
+                s.sig = b.sig;
                 s.lsb = lsb;
-                s.width = msb - lsb + 1;
-                s.ok = true;
-            } else if (msb >= lsb) {
-                s.width = msb - lsb + 1;
             }
         }
-        out.slots.push_back(std::move(s));
         break;
       }
       case NodeKind::Concat:
         for (auto &p : lhs.as<Concat>()->parts)
             resolveInto(design, scope, *p, out);
-        break;
+        return;
       default:
         // Invalid target (validator rejects these); drop the write.
-        out.slots.push_back(WriteSlot{});
         break;
+    }
+    out.add(s);
+}
+
+/** Write @p value, resized to the piece's width, into one piece. */
+void
+writePiece(const WriteSlot &s, const LogicVec &value)
+{
+    if (s.mem) {
+        s.mem->writeAt(s.addr, value);  // resizes to the element width
+    } else if (!s.sig) {
+        return;
+    } else if (s.lsb == 0 && s.width == s.sig->width()) {
+        s.sig->set(value);  // resizes to the signal width
+    } else if (value.width() == s.width) {
+        s.sig->writeBits(s.lsb, value);
+    } else {
+        s.sig->writeBits(s.lsb, value.resized(s.width));
     }
 }
 
@@ -435,35 +456,27 @@ resolveLValue(Design &design, InstanceScope &scope, const Expr &lhs)
 {
     WriteTarget t;
     resolveInto(design, scope, lhs, t);
-    for (auto &s : t.slots)
-        t.totalWidth += s.width;
     return t;
 }
 
 void
 performWrite(const WriteTarget &target, const LogicVec &value)
 {
-    LogicVec v = value.resized(target.totalWidth);
-    int off = 0;  // distribute from the LSB end == last slot first
-    for (auto it = target.slots.rbegin(); it != target.slots.rend();
-         ++it) {
-        const WriteSlot &s = *it;
-        LogicVec part = v.slice(off + s.width - 1, off);
-        off += s.width;
-        if (!s.ok)
-            continue;
-        if (s.mem) {
-            s.mem->write(s.addr, part);
-        } else if (s.sig) {
-            if (s.lsb == 0 && s.width == s.sig->width()) {
-                s.sig->set(part);
-            } else {
-                LogicVec cur = s.sig->value();
-                cur.writeSlice(s.lsb, part);
-                s.sig->set(cur);
-            }
-        }
+    if (target.count <= 1) {
+        if (target.count == 1)
+            writePiece(target.first, value);
+        return;
     }
+    LogicVec v = value.resized(target.totalWidth);
+    int off = 0;  // distribute from the LSB end == last piece first
+    auto put = [&](const WriteSlot &s) {
+        if (s.sig || s.mem)
+            writePiece(s, v.slice(off + s.width - 1, off));
+        off += s.width;
+    };
+    for (auto it = target.rest.rbegin(); it != target.rest.rend(); ++it)
+        put(*it);
+    put(target.first);
 }
 
 } // namespace cirfix::sim

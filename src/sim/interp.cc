@@ -1,5 +1,6 @@
 #include "sim/interp.h"
 
+#include <optional>
 #include <sstream>
 
 #include "sim/eval.h"
@@ -32,19 +33,13 @@ struct DelayAwaiter
     void await_resume() const noexcept {}
 };
 
-/** Suspend until one of the listed edges/events fires. */
+/** Suspend until one of the edges/events of a Sensitivity fires. */
 struct EventsAwaiter
 {
-    struct SigWait
-    {
-        Signal *sig;
-        Edge edge;
-        int bit;  //!< -1 = whole vector / LSB
-    };
-
     Scheduler *sched;
-    std::vector<SigWait> sigs;
-    std::vector<NamedEvent *> events;
+    const Sensitivity *sens;
+    /** Per entry: the watched bit of a run-time bit select. */
+    std::vector<int> bits;
 
     bool await_ready() const noexcept { return false; }
     void
@@ -52,10 +47,13 @@ struct EventsAwaiter
     {
         auto handle =
             std::make_shared<WaitHandle>(sched, [h] { h.resume(); });
-        for (auto &sw : sigs)
-            sw.sig->addWaiter(sw.edge, sw.bit, handle);
-        for (auto *ev : events)
-            ev->addWaiter(handle);
+        for (size_t i = 0; i < sens->entries.size(); ++i) {
+            const Sensitivity::Entry &e = sens->entries[i];
+            if (e.event)
+                e.event->addWaiter(handle);
+            else
+                e.sig->addWaiter(e.edge, e.index ? bits[i] : -1, handle);
+        }
         // With nothing to wait on the process simply stalls, like a
         // real simulator blocked on an event that never triggers.
     }
@@ -66,71 +64,82 @@ struct EventsAwaiter
 // Helpers
 // --------------------------------------------------------------------
 
+/** @p e as an unsigned delay or count; x/z reads as 0. */
 uint64_t
-evalDelay(Design &design, InstanceScope &scope, const Expr &e)
+evalUint(Design &design, InstanceScope &scope, const Expr &e)
 {
-    LogicVec v = evalExpr(e, scope, design);
+    std::optional<LogicVec> t;
+    const LogicVec &v = evalRef(e, scope, design, t);
     return v.hasUnknown() ? 0 : v.toUint64();
 }
 
-/** Resolve the sensitivity of an event control in @p scope. */
-void
-resolveEvents(Design &design, InstanceScope &scope, const EventCtrl &ec,
-              EventsAwaiter &out)
+/** Verilog truthiness of @p e (see LogicVec::isTrue). */
+bool
+truthy(Design &design, InstanceScope &scope, const Expr &e)
 {
-    out.sched = &design.scheduler();
+    std::optional<LogicVec> t;
+    return evalRef(e, scope, design, t).isTrue();
+}
 
-    auto addSignalByName = [&](const std::string &name, Edge edge,
-                               int bit) {
-        if (SignalRef r = scope.findSignal(name); r.sig) {
-            out.sigs.push_back({r.sig, edge, bit});
-            return;
+/** The waiting set of an event control or wait statement, with the
+ *  bits of run-time bit selects evaluated now. */
+EventsAwaiter
+awaitEvents(Design &design, InstanceScope &scope, const Stmt &stmt)
+{
+    EventsAwaiter aw{&design.scheduler(), scope.bind(stmt).sens, {}};
+    if (aw.sens->hasIndex) {
+        aw.bits.assign(aw.sens->entries.size(), -1);
+        for (size_t i = 0; i < aw.sens->entries.size(); ++i) {
+            const Sensitivity::Entry &e = aw.sens->entries[i];
+            if (!e.index)
+                continue;
+            std::optional<LogicVec> t;
+            const LogicVec &idx = evalRef(*e.index, scope, design, t);
+            if (!idx.hasUnknown())
+                aw.bits[i] = static_cast<int>(idx.toUint64()) - e.lsb;
         }
-        if (NamedEvent *ev = scope.findEvent(name))
-            out.events.push_back(ev);
+    }
+    return aw;
+}
+
+/** Non-blocking assignment: resolve the target now, write later. */
+void
+scheduleNba(Design &design, InstanceScope &scope, const Assign &s,
+            LogicVec rhs)
+{
+    Scheduler &sched = design.scheduler();
+    WriteTarget t = resolveLValue(design, scope, *s.lhs);
+    uint64_t d = s.delay ? evalUint(design, scope, *s.delay) : 0;
+    auto update = [t = std::move(t), rhs = std::move(rhs)]() {
+        performWrite(t, rhs);
     };
+    if (d == 0)
+        sched.scheduleNba(std::move(update));
+    else
+        sched.scheduleNbaAt(sched.now() + d, std::move(update));
+}
 
-    if (ec.star) {
-        // @*: wait for a change of any identifier read in the body.
-        std::vector<std::string> names;
-        if (ec.stmt)
-            names = collectIdents(*ec.stmt);
-        std::vector<Signal *> seen;
-        for (auto &n : names) {
-            SignalRef r = scope.findSignal(n);
-            if (!r.sig)
-                continue;
-            bool dup = false;
-            for (Signal *s : seen)
-                dup |= (s == r.sig);
-            if (!dup) {
-                seen.push_back(r.sig);
-                out.sigs.push_back({r.sig, Edge::Level, -1});
-            }
+/** Case statement: the body of the first matching item, else the
+ *  default's, else null. */
+const Stmt *
+selectCase(Design &design, InstanceScope &scope, const Case &s)
+{
+    std::optional<LogicVec> ts;
+    const LogicVec &subj = evalRef(*s.subject, scope, design, ts);
+    const CaseItem *dflt = nullptr;
+    for (auto &item : s.items) {
+        if (item.labels.empty()) {
+            dflt = &item;
+            continue;
         }
-        return;
-    }
-
-    for (auto &ev : ec.events) {
-        const Expr &sig = *ev.signal;
-        if (sig.kind == NodeKind::Ident) {
-            addSignalByName(sig.as<Ident>()->name, ev.edge, -1);
-        } else if (sig.kind == NodeKind::Index) {
-            auto *ix = sig.as<Index>();
-            SignalRef r = scope.findSignal(ix->name);
-            if (!r.sig)
-                continue;
-            LogicVec idx = evalExpr(*ix->index, scope, design);
-            int bit = idx.hasUnknown()
-                          ? -1
-                          : static_cast<int>(idx.toUint64()) - r.lsb;
-            out.sigs.push_back({r.sig, ev.edge, bit});
-        } else {
-            // General expressions: watch every identifier they read.
-            for (auto &n : collectIdents(sig))
-                addSignalByName(n, Edge::Level, -1);
+        for (auto &lab : item.labels) {
+            std::optional<LogicVec> tl;
+            if (caseLabelMatches(s.type, subj,
+                                 evalRef(*lab, scope, design, tl)))
+                return item.body.get();
         }
     }
+    return dflt ? dflt->body.get() : nullptr;
 }
 
 std::string
@@ -213,20 +222,8 @@ runDisplay(Design &design, InstanceScope &scope, const SysTask &task)
 bool
 caseLabelMatches(CaseType type, const LogicVec &subj, const LogicVec &lab)
 {
-    int w = std::max(subj.width(), lab.width());
-    LogicVec s = subj.resized(w), l = lab.resized(w);
-    for (int i = 0; i < w; ++i) {
-        Bit sb = s.bit(i), lb = l.bit(i);
-        if (type == CaseType::CaseZ && (sb == Bit::Z || lb == Bit::Z))
-            continue;
-        if (type == CaseType::CaseX &&
-            (sb == Bit::Z || sb == Bit::X || lb == Bit::Z ||
-             lb == Bit::X))
-            continue;
-        if (sb != lb)
-            return false;
-    }
-    return true;
+    return subj.caseMatch(lab, type == CaseType::CaseZ,
+                          type == CaseType::CaseX);
 }
 
 /**
@@ -316,8 +313,7 @@ execStmtSync(Design &design, InstanceScope &scope, const Stmt &stmt)
         return;
       case NodeKind::If: {
         auto *s = stmt.as<If>();
-        LogicVec c = evalExpr(*s->cond, scope, design);
-        if (c.isTrue()) {
+        if (truthy(design, scope, *s->cond)) {
             if (s->thenStmt)
                 execStmtSync(design, scope, *s->thenStmt);
         } else if (s->elseStmt) {
@@ -326,32 +322,16 @@ execStmtSync(Design &design, InstanceScope &scope, const Stmt &stmt)
         return;
       }
       case NodeKind::Case: {
-        auto *s = stmt.as<Case>();
-        LogicVec subj = evalExpr(*s->subject, scope, design);
-        const CaseItem *dflt = nullptr;
-        for (auto &item : s->items) {
-            if (item.labels.empty()) {
-                dflt = &item;
-                continue;
-            }
-            for (auto &lab : item.labels) {
-                LogicVec lv = evalExpr(*lab, scope, design);
-                if (caseLabelMatches(s->type, subj, lv)) {
-                    if (item.body)
-                        execStmtSync(design, scope, *item.body);
-                    return;
-                }
-            }
-        }
-        if (dflt && dflt->body)
-            execStmtSync(design, scope, *dflt->body);
+        if (const Stmt *body =
+                selectCase(design, scope, *stmt.as<Case>()))
+            execStmtSync(design, scope, *body);
         return;
       }
       case NodeKind::For: {
         auto *s = stmt.as<For>();
         if (s->init)
             execStmtSync(design, scope, *s->init);
-        while (evalExpr(*s->cond, scope, design).isTrue()) {
+        while (truthy(design, scope, *s->cond)) {
             if (sched.finishRequested())
                 return;
             if (s->body)
@@ -364,7 +344,7 @@ execStmtSync(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::While: {
         auto *s = stmt.as<While>();
-        while (evalExpr(*s->cond, scope, design).isTrue()) {
+        while (truthy(design, scope, *s->cond)) {
             if (sched.finishRequested())
                 return;
             if (s->body)
@@ -375,8 +355,7 @@ execStmtSync(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::Repeat: {
         auto *s = stmt.as<Repeat>();
-        LogicVec n = evalExpr(*s->count, scope, design);
-        uint64_t count = n.hasUnknown() ? 0 : n.toUint64();
+        uint64_t count = evalUint(design, scope, *s->count);
         for (uint64_t i = 0; i < count; ++i) {
             if (sched.finishRequested())
                 return;
@@ -400,28 +379,20 @@ execStmtSync(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::Assign: {
         auto *s = stmt.as<Assign>();
-        LogicVec rhs = evalExpr(*s->rhs, scope, design);
         if (s->blocking) {
-            WriteTarget t = resolveLValue(design, scope, *s->lhs);
-            performWrite(t, rhs);
+            std::optional<LogicVec> t;
+            const LogicVec &rhs = evalRef(*s->rhs, scope, design, t);
+            performWrite(resolveLValue(design, scope, *s->lhs), rhs);
         } else {
-            WriteTarget t = resolveLValue(design, scope, *s->lhs);
-            uint64_t d =
-                s->delay ? evalDelay(design, scope, *s->delay) : 0;
-            auto update = [t = std::move(t), rhs]() {
-                performWrite(t, rhs);
-            };
-            if (d == 0)
-                sched.scheduleNba(std::move(update));
-            else
-                sched.scheduleNbaAt(sched.now() + d, std::move(update));
+            scheduleNba(design, scope, *s,
+                        evalExpr(*s->rhs, scope, design));
         }
         return;
       }
       case NodeKind::TriggerEvent: {
-        auto *s = stmt.as<TriggerEvent>();
-        if (NamedEvent *ev = scope.findEvent(s->name))
-            ev->trigger();
+        if (NameBinding b = scope.bind(stmt);
+            b.kind == NameBinding::Kind::Event)
+            b.event->trigger();
         return;
       }
       case NodeKind::SysTask: {
@@ -469,8 +440,7 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::If: {
         auto *s = stmt.as<If>();
-        LogicVec c = evalExpr(*s->cond, scope, design);
-        if (c.isTrue()) {
+        if (truthy(design, scope, *s->cond)) {
             if (s->thenStmt)
                 {
                 if (!mightSuspend(*s->thenStmt))
@@ -489,35 +459,13 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
         co_return;
       }
       case NodeKind::Case: {
-        auto *s = stmt.as<Case>();
-        LogicVec subj = evalExpr(*s->subject, scope, design);
-        const CaseItem *dflt = nullptr;
-        for (auto &item : s->items) {
-            if (item.labels.empty()) {
-                dflt = &item;
-                continue;
-            }
-            for (auto &lab : item.labels) {
-                LogicVec lv = evalExpr(*lab, scope, design);
-                if (caseLabelMatches(s->type, subj, lv)) {
-                    if (item.body)
-                        {
-                if (!mightSuspend(*item.body))
-                    execStmtSync(design, scope, *item.body);
-                else
-                    co_await execStmt(design, scope, *item.body);
-            }
-                    co_return;
-                }
-            }
+        const Stmt *body = selectCase(design, scope, *stmt.as<Case>());
+        if (body) {
+            if (!mightSuspend(*body))
+                execStmtSync(design, scope, *body);
+            else
+                co_await execStmt(design, scope, *body);
         }
-        if (dflt && dflt->body)
-            {
-                if (!mightSuspend(*dflt->body))
-                    execStmtSync(design, scope, *dflt->body);
-                else
-                    co_await execStmt(design, scope, *dflt->body);
-            }
         co_return;
       }
       case NodeKind::For: {
@@ -529,7 +477,7 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
                 else
                     co_await execStmt(design, scope, *s->init);
             }
-        while (evalExpr(*s->cond, scope, design).isTrue()) {
+        while (truthy(design, scope, *s->cond)) {
             if (sched.finishRequested())
                 co_return;
             if (s->body)
@@ -552,7 +500,7 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::While: {
         auto *s = stmt.as<While>();
-        while (evalExpr(*s->cond, scope, design).isTrue()) {
+        while (truthy(design, scope, *s->cond)) {
             if (sched.finishRequested())
                 co_return;
             if (s->body)
@@ -568,8 +516,7 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::Repeat: {
         auto *s = stmt.as<Repeat>();
-        LogicVec n = evalExpr(*s->count, scope, design);
-        uint64_t count = n.hasUnknown() ? 0 : n.toUint64();
+        uint64_t count = evalUint(design, scope, *s->count);
         for (uint64_t i = 0; i < count; ++i) {
             if (sched.finishRequested())
                 co_return;
@@ -601,31 +548,25 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::Assign: {
         auto *s = stmt.as<Assign>();
-        LogicVec rhs = evalExpr(*s->rhs, scope, design);
-        if (s->blocking) {
-            if (s->delay) {
-                uint64_t d = evalDelay(design, scope, *s->delay);
-                co_await DelayAwaiter{&sched, d};
-            }
-            WriteTarget t = resolveLValue(design, scope, *s->lhs);
-            performWrite(t, rhs);
+        if (!s->blocking) {
+            scheduleNba(design, scope, *s,
+                        evalExpr(*s->rhs, scope, design));
+        } else if (s->delay) {
+            // The value is sampled before the delay, written after it.
+            LogicVec rhs = evalExpr(*s->rhs, scope, design);
+            uint64_t d = evalUint(design, scope, *s->delay);
+            co_await DelayAwaiter{&sched, d};
+            performWrite(resolveLValue(design, scope, *s->lhs), rhs);
         } else {
-            WriteTarget t = resolveLValue(design, scope, *s->lhs);
-            uint64_t d =
-                s->delay ? evalDelay(design, scope, *s->delay) : 0;
-            auto update = [t = std::move(t), rhs]() {
-                performWrite(t, rhs);
-            };
-            if (d == 0)
-                sched.scheduleNba(std::move(update));
-            else
-                sched.scheduleNbaAt(sched.now() + d, std::move(update));
+            std::optional<LogicVec> t;
+            const LogicVec &rhs = evalRef(*s->rhs, scope, design, t);
+            performWrite(resolveLValue(design, scope, *s->lhs), rhs);
         }
         co_return;
       }
       case NodeKind::DelayStmt: {
         auto *s = stmt.as<DelayStmt>();
-        uint64_t d = evalDelay(design, scope, *s->delay);
+        uint64_t d = evalUint(design, scope, *s->delay);
         co_await DelayAwaiter{&sched, d};
         if (s->stmt)
             {
@@ -638,9 +579,7 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::EventCtrl: {
         auto *s = stmt.as<EventCtrl>();
-        EventsAwaiter aw;
-        resolveEvents(design, scope, *s, aw);
-        co_await aw;
+        co_await awaitEvents(design, scope, stmt);
         if (s->stmt)
             {
                 if (!mightSuspend(*s->stmt))
@@ -652,14 +591,9 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
       }
       case NodeKind::Wait: {
         auto *s = stmt.as<Wait>();
-        while (!evalExpr(*s->cond, scope, design).isTrue()) {
-            EventsAwaiter aw;
-            aw.sched = &sched;
-            for (auto &n : collectIdents(*s->cond)) {
-                if (SignalRef r = scope.findSignal(n); r.sig)
-                    aw.sigs.push_back({r.sig, Edge::Level, -1});
-            }
-            if (aw.sigs.empty())
+        while (!truthy(design, scope, *s->cond)) {
+            EventsAwaiter aw = awaitEvents(design, scope, stmt);
+            if (aw.sens->entries.empty())
                 co_return;  // condition can never change
             co_await aw;
             design.chargeStmt();
@@ -674,9 +608,9 @@ execStmt(Design &design, InstanceScope &scope, const Stmt &stmt)
         co_return;
       }
       case NodeKind::TriggerEvent: {
-        auto *s = stmt.as<TriggerEvent>();
-        if (NamedEvent *ev = scope.findEvent(s->name))
-            ev->trigger();
+        if (NameBinding b = scope.bind(stmt);
+            b.kind == NameBinding::Kind::Event)
+            b.event->trigger();
         co_return;
       }
       case NodeKind::SysTask: {

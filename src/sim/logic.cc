@@ -17,26 +17,21 @@ logicHeapAllocs()
 }
 
 void
-WordStore::assign(size_t n, uint64_t fill)
+WordStore::assignWide(size_t n, uint64_t fill)
 {
-    if (n > 1 && n != n_) {
+    if (n != n_ || !heap_) {
         release();
         heap_ = new uint64_t[n];
         ++g_logic_heap_allocs;
-    } else if (n <= 1 && heap_) {
-        release();
     }
     n_ = n;
-    uint64_t *d = data();
     for (size_t i = 0; i < n; ++i)
-        d[i] = fill;
+        heap_[i] = fill;
 }
 
 bool
-WordStore::operator==(const WordStore &o) const
+WordStore::wideEqual(const WordStore &o) const
 {
-    if (n_ != o.n_)
-        return false;
     const uint64_t *a = data(), *b = o.data();
     for (size_t i = 0; i < n_; ++i)
         if (a[i] != b[i])
@@ -45,35 +40,12 @@ WordStore::operator==(const WordStore &o) const
 }
 
 void
-WordStore::copyFrom(const WordStore &o)
+WordStore::copyHeap(const WordStore &o)
 {
-    n_ = o.n_;
-    if (o.heap_) {
-        heap_ = new uint64_t[n_];
-        ++g_logic_heap_allocs;
-        for (size_t i = 0; i < n_; ++i)
-            heap_[i] = o.heap_[i];
-    } else {
-        heap_ = nullptr;
-        inline0_ = o.inline0_;
-    }
-}
-
-void
-WordStore::moveFrom(WordStore &o) noexcept
-{
-    n_ = o.n_;
-    heap_ = o.heap_;
-    inline0_ = o.inline0_;
-    o.heap_ = nullptr;
-    o.n_ = 0;
-}
-
-void
-WordStore::release()
-{
-    delete[] heap_;
-    heap_ = nullptr;
+    heap_ = new uint64_t[n_];
+    ++g_logic_heap_allocs;
+    for (size_t i = 0; i < n_; ++i)
+        heap_[i] = o.heap_[i];
 }
 
 char
@@ -101,29 +73,10 @@ charBit(char c)
     }
 }
 
-LogicVec::LogicVec(int width, Bit fill)
-    : width_(width)
+void
+LogicVec::badWidth()
 {
-    if (width <= 0)
-        throw std::invalid_argument("LogicVec width must be positive");
-    int nw = (width + 63) / 64;
-    uint64_t a = (static_cast<uint8_t>(fill) & 1) ? ~0ull : 0ull;
-    uint64_t b = (static_cast<uint8_t>(fill) & 2) ? ~0ull : 0ull;
-    aval_.assign(nw, a);
-    bval_.assign(nw, b);
-    maskTop();
-}
-
-LogicVec::LogicVec(int width, uint64_t value)
-    : width_(width)
-{
-    if (width <= 0)
-        throw std::invalid_argument("LogicVec width must be positive");
-    int nw = (width + 63) / 64;
-    aval_.assign(nw, 0);
-    bval_.assign(nw, 0);
-    aval_[0] = value;
-    maskTop();
+    throw std::invalid_argument("LogicVec width must be positive");
 }
 
 LogicVec
@@ -135,27 +88,6 @@ LogicVec::fromString(const std::string &bits)
     for (size_t i = 0; i < bits.size(); ++i)
         v.setBit(static_cast<int>(bits.size() - 1 - i), charBit(bits[i]));
     return v;
-}
-
-void
-LogicVec::maskTop()
-{
-    int rem = width_ % 64;
-    if (rem != 0) {
-        uint64_t mask = (1ull << rem) - 1;
-        aval_.back() &= mask;
-        bval_.back() &= mask;
-    }
-}
-
-Bit
-LogicVec::bit(int i) const
-{
-    if (i < 0 || i >= width_)
-        return Bit::X;
-    uint64_t a = (aval_[i / 64] >> (i % 64)) & 1;
-    uint64_t b = (bval_[i / 64] >> (i % 64)) & 1;
-    return static_cast<Bit>(a | (b << 1));
 }
 
 void
@@ -176,36 +108,12 @@ LogicVec::setBit(int i, Bit b)
 }
 
 bool
-LogicVec::hasUnknown() const
-{
-    for (uint64_t w : bval_)
-        if (w != 0)
-            return true;
-    return false;
-}
-
-bool
 LogicVec::isAllZero() const
 {
     for (int i = 0; i < words(); ++i)
         if (aval_[i] != 0 || bval_[i] != 0)
             return false;
     return true;
-}
-
-bool
-LogicVec::hasOne() const
-{
-    for (int i = 0; i < words(); ++i)
-        if ((aval_[i] & ~bval_[i]) != 0)
-            return true;
-    return false;
-}
-
-uint64_t
-LogicVec::toUint64() const
-{
-    return aval_[0] & ~bval_[0];
 }
 
 std::string
@@ -243,12 +151,6 @@ LogicVec::toDecimalString() const
     }
     std::reverse(digits.begin(), digits.end());
     return digits;
-}
-
-bool
-LogicVec::identical(const LogicVec &o) const
-{
-    return width_ == o.width_ && aval_ == o.aval_ && bval_ == o.bval_;
 }
 
 LogicVec
@@ -304,7 +206,29 @@ LogicVec::slice(int msb, int lsb) const
 void
 LogicVec::writeSlice(int lsb, const LogicVec &v)
 {
-    for (int i = 0; i < v.width(); ++i) {
+    const int w = v.width();
+    if (lsb >= 0 && lsb + w <= width_) {
+        // In range: masked insert of each 64-bit source chunk into the
+        // (at most two) destination words it covers. v's bits above
+        // its width are zero by the maskTop invariant.
+        for (int j = 0; j < v.words(); ++j) {
+            const int cw = std::min(64, w - 64 * j);
+            const uint64_t m = cw == 64 ? ~0ull : (1ull << cw) - 1;
+            const int pos = lsb + 64 * j;
+            const int wi = pos / 64, sh = pos % 64;
+            const uint64_t a = v.aval_[j], b = v.bval_[j];
+            aval_[wi] = (aval_[wi] & ~(m << sh)) | (a << sh);
+            bval_[wi] = (bval_[wi] & ~(m << sh)) | (b << sh);
+            if (sh != 0 && sh + cw > 64) {
+                const int hs = 64 - sh;
+                aval_[wi + 1] = (aval_[wi + 1] & ~(m >> hs)) | (a >> hs);
+                bval_[wi + 1] = (bval_[wi + 1] & ~(m >> hs)) | (b >> hs);
+            }
+        }
+        return;
+    }
+    // Partly out of range (rare): per bit, dropping the outside bits.
+    for (int i = 0; i < w; ++i) {
         int dst = lsb + i;
         if (dst >= 0 && dst < width_)
             setBit(dst, v.bit(i));
@@ -347,53 +271,56 @@ commonWidth(const LogicVec &a, const LogicVec &b)
 
 } // namespace
 
+// The bitwise operators work a word at a time on the two planes. Per
+// bit, with k1 = a & ~b (a definite 1) and k0 = ~a & ~b (a definite 0),
+// a result bit is 1, 0, or x when neither applies: (a, b) = (1, 1).
+
 LogicVec
 LogicVec::bitAnd(const LogicVec &o) const
 {
-    int w = commonWidth(*this, o);
-    LogicVec a = resized(w), b = o.resized(w), r(w, Bit::Zero);
-    // Bitwise: 0 & anything = 0; 1 & 1 = 1; otherwise x.
-    for (int i = 0; i < w; ++i) {
-        Bit x = a.bit(i), y = b.bit(i);
-        if (x == Bit::Zero || y == Bit::Zero)
-            r.setBit(i, Bit::Zero);
-        else if (x == Bit::One && y == Bit::One)
-            r.setBit(i, Bit::One);
-        else
-            r.setBit(i, Bit::X);
+    // 0 & anything = 0; 1 & 1 = 1; otherwise x.
+    LogicVec r(commonWidth(*this, o), Bit::Zero);
+    for (int i = 0; i < r.words(); ++i) {
+        uint64_t xa = aw(i), xb = bw(i), ya = o.aw(i), yb = o.bw(i);
+        uint64_t one = (xa & ~xb) & (ya & ~yb);
+        uint64_t zero = (~xa & ~xb) | (~ya & ~yb);
+        uint64_t x = ~(one | zero);
+        r.aval_[i] = one | x;
+        r.bval_[i] = x;
     }
+    r.maskTop();
     return r;
 }
 
 LogicVec
 LogicVec::bitOr(const LogicVec &o) const
 {
-    int w = commonWidth(*this, o);
-    LogicVec a = resized(w), b = o.resized(w), r(w, Bit::Zero);
-    for (int i = 0; i < w; ++i) {
-        Bit x = a.bit(i), y = b.bit(i);
-        if (x == Bit::One || y == Bit::One)
-            r.setBit(i, Bit::One);
-        else if (x == Bit::Zero && y == Bit::Zero)
-            r.setBit(i, Bit::Zero);
-        else
-            r.setBit(i, Bit::X);
+    // 1 | anything = 1; 0 | 0 = 0; otherwise x.
+    LogicVec r(commonWidth(*this, o), Bit::Zero);
+    for (int i = 0; i < r.words(); ++i) {
+        uint64_t xa = aw(i), xb = bw(i), ya = o.aw(i), yb = o.bw(i);
+        uint64_t one = (xa & ~xb) | (ya & ~yb);
+        uint64_t zero = (~xa & ~xb) & (~ya & ~yb);
+        uint64_t x = ~(one | zero);
+        r.aval_[i] = one | x;
+        r.bval_[i] = x;
     }
+    r.maskTop();
     return r;
 }
 
 LogicVec
 LogicVec::bitXor(const LogicVec &o) const
 {
-    int w = commonWidth(*this, o);
-    LogicVec a = resized(w), b = o.resized(w), r(w, Bit::Zero);
-    for (int i = 0; i < w; ++i) {
-        Bit x = a.bit(i), y = b.bit(i);
-        if (x == Bit::X || x == Bit::Z || y == Bit::X || y == Bit::Z)
-            r.setBit(i, Bit::X);
-        else
-            r.setBit(i, (x == y) ? Bit::Zero : Bit::One);
+    // x/z on either side gives x; otherwise the binary xor.
+    LogicVec r(commonWidth(*this, o), Bit::Zero);
+    for (int i = 0; i < r.words(); ++i) {
+        uint64_t xa = aw(i), xb = bw(i), ya = o.aw(i), yb = o.bw(i);
+        uint64_t x = xb | yb;
+        r.aval_[i] = ((xa ^ ya) & ~x) | x;
+        r.bval_[i] = x;
     }
+    r.maskTop();
     return r;
 }
 
@@ -409,12 +336,12 @@ LogicVec::add(const LogicVec &o) const
     int w = commonWidth(*this, o);
     if (hasUnknown() || o.hasUnknown())
         return LogicVec::xs(w);
-    LogicVec a = resized(w), b = o.resized(w), r(w, Bit::Zero);
+    LogicVec r(w, Bit::Zero);
     unsigned __int128 carry = 0;
-    for (int i = 0; i < a.words(); ++i) {
+    for (int i = 0; i < r.words(); ++i) {
         unsigned __int128 s = carry;
-        s += a.aval_[i];
-        s += b.aval_[i];
+        s += aw(i);
+        s += o.aw(i);
         r.aval_[i] = static_cast<uint64_t>(s);
         carry = s >> 64;
     }
@@ -425,10 +352,21 @@ LogicVec::add(const LogicVec &o) const
 LogicVec
 LogicVec::sub(const LogicVec &o) const
 {
+    // a + ~b + 1 over the common width: two's-complement subtraction.
     int w = commonWidth(*this, o);
     if (hasUnknown() || o.hasUnknown())
         return LogicVec::xs(w);
-    return resized(w).add(o.resized(w).negate());
+    LogicVec r(w, Bit::Zero);
+    unsigned __int128 carry = 1;
+    for (int i = 0; i < r.words(); ++i) {
+        unsigned __int128 s = carry;
+        s += aw(i);
+        s += ~o.aw(i);
+        r.aval_[i] = static_cast<uint64_t>(s);
+        carry = s >> 64;
+    }
+    r.maskTop();
+    return r;
 }
 
 LogicVec
@@ -531,8 +469,18 @@ LogicVec::shl(const LogicVec &o) const
     LogicVec r(width_, Bit::Zero);
     if (n >= static_cast<uint64_t>(width_))
         return r;
-    for (int i = width_ - 1; i >= static_cast<int>(n); --i)
-        r.setBit(i, bit(i - static_cast<int>(n)));
+    const int ws = static_cast<int>(n / 64), bs = static_cast<int>(n % 64);
+    for (int i = ws; i < r.words(); ++i) {
+        int src = i - ws;
+        uint64_t a = aval_[src] << bs, b = bval_[src] << bs;
+        if (bs != 0 && src > 0) {
+            a |= aval_[src - 1] >> (64 - bs);
+            b |= bval_[src - 1] >> (64 - bs);
+        }
+        r.aval_[i] = a;
+        r.bval_[i] = b;
+    }
+    r.maskTop();
     return r;
 }
 
@@ -545,20 +493,27 @@ LogicVec::shr(const LogicVec &o) const
     LogicVec r(width_, Bit::Zero);
     if (n >= static_cast<uint64_t>(width_))
         return r;
-    for (int i = 0; i + static_cast<int>(n) < width_; ++i)
-        r.setBit(i, bit(i + static_cast<int>(n)));
+    const int ws = static_cast<int>(n / 64), bs = static_cast<int>(n % 64);
+    for (int i = 0; i + ws < words(); ++i) {
+        int src = i + ws;
+        uint64_t a = aval_[src] >> bs, b = bval_[src] >> bs;
+        if (bs != 0 && src + 1 < words()) {
+            a |= aval_[src + 1] << (64 - bs);
+            b |= bval_[src + 1] << (64 - bs);
+        }
+        r.aval_[i] = a;
+        r.bval_[i] = b;
+    }
     return r;
 }
 
 int
 LogicVec::compareKnown(const LogicVec &o) const
 {
-    int w = commonWidth(*this, o);
-    LogicVec a = resized(w), b = o.resized(w);
-    for (int i = a.words() - 1; i >= 0; --i) {
-        if (a.aval_[i] < b.aval_[i])
+    for (int i = std::max(words(), o.words()) - 1; i >= 0; --i) {
+        if (aw(i) < o.aw(i))
             return -1;
-        if (a.aval_[i] > b.aval_[i])
+        if (aw(i) > o.aw(i))
             return 1;
     }
     return 0;
@@ -599,18 +554,13 @@ LogicVec::ge(const LogicVec &o) const
 LogicVec
 LogicVec::logicEq(const LogicVec &o) const
 {
-    int w = commonWidth(*this, o);
-    LogicVec a = resized(w), b = o.resized(w);
     // A definite bit mismatch makes the result 0 even with x elsewhere.
     bool unknown = false;
-    for (int i = 0; i < w; ++i) {
-        Bit x = a.bit(i), y = b.bit(i);
-        bool xu = (x == Bit::X || x == Bit::Z);
-        bool yu = (y == Bit::X || y == Bit::Z);
-        if (xu || yu)
-            unknown = true;
-        else if (x != y)
+    for (int i = std::max(words(), o.words()) - 1; i >= 0; --i) {
+        uint64_t u = bw(i) | o.bw(i);
+        if ((aw(i) ^ o.aw(i)) & ~u)
             return bit1(false);
+        unknown |= u != 0;
     }
     return unknown ? bitX() : bit1(true);
 }
@@ -624,12 +574,23 @@ LogicVec::logicNeq(const LogicVec &o) const
 LogicVec
 LogicVec::caseEq(const LogicVec &o) const
 {
-    int w = commonWidth(*this, o);
-    LogicVec a = resized(w), b = o.resized(w);
-    for (int i = 0; i < w; ++i)
-        if (a.bit(i) != b.bit(i))
-            return bit1(false);
-    return bit1(true);
+    return bit1(caseMatch(o, false, false));
+}
+
+bool
+LogicVec::caseMatch(const LogicVec &o, bool z_wild, bool xz_wild) const
+{
+    for (int i = std::max(words(), o.words()) - 1; i >= 0; --i) {
+        uint64_t xa = aw(i), xb = bw(i), ya = o.aw(i), yb = o.bw(i);
+        uint64_t wild = 0;
+        if (xz_wild)
+            wild = xb | yb;
+        else if (z_wild)
+            wild = (~xa & xb) | (~ya & yb);
+        if (((xa ^ ya) | (xb ^ yb)) & ~wild)
+            return false;
+    }
+    return true;
 }
 
 LogicVec
@@ -674,16 +635,22 @@ LogicVec::logicNot() const
     return bit1(true);
 }
 
+/** Mask of the valid bits of word @p i of a @p width-bit vector. */
+static uint64_t
+validMask(int width, int i)
+{
+    int rem = width - 64 * i;
+    return rem >= 64 ? ~0ull : (1ull << rem) - 1;
+}
+
 LogicVec
 LogicVec::reduceAnd() const
 {
     bool unknown = false;
-    for (int i = 0; i < width_; ++i) {
-        Bit b = bit(i);
-        if (b == Bit::Zero)
-            return bit1(false);
-        if (b != Bit::One)
-            unknown = true;
+    for (int i = 0; i < words(); ++i) {
+        if (~aval_[i] & ~bval_[i] & validMask(width_, i))
+            return bit1(false);  // a definite 0
+        unknown |= bval_[i] != 0;
     }
     return unknown ? bitX() : bit1(true);
 }
@@ -691,28 +658,20 @@ LogicVec::reduceAnd() const
 LogicVec
 LogicVec::reduceOr() const
 {
-    bool unknown = false;
-    for (int i = 0; i < width_; ++i) {
-        Bit b = bit(i);
-        if (b == Bit::One)
-            return bit1(true);
-        if (b != Bit::Zero)
-            unknown = true;
-    }
-    return unknown ? bitX() : bit1(false);
+    if (hasOne())
+        return bit1(true);
+    return hasUnknown() ? bitX() : bit1(false);
 }
 
 LogicVec
 LogicVec::reduceXor() const
 {
-    bool parity = false;
-    for (int i = 0; i < width_; ++i) {
-        Bit b = bit(i);
-        if (b == Bit::X || b == Bit::Z)
-            return bitX();
-        parity ^= (b == Bit::One);
-    }
-    return bit1(parity);
+    if (hasUnknown())
+        return bitX();
+    int parity = 0;
+    for (int i = 0; i < words(); ++i)
+        parity ^= __builtin_parityll(aval_[i]);
+    return bit1(parity != 0);
 }
 
 LogicVec
@@ -740,10 +699,8 @@ LogicVec
 LogicVec::concat(const LogicVec &hi, const LogicVec &lo)
 {
     LogicVec r(hi.width() + lo.width(), Bit::Zero);
-    for (int i = 0; i < lo.width(); ++i)
-        r.setBit(i, lo.bit(i));
-    for (int i = 0; i < hi.width(); ++i)
-        r.setBit(lo.width() + i, hi.bit(i));
+    r.writeSlice(0, lo);
+    r.writeSlice(lo.width(), hi);
     return r;
 }
 
@@ -754,8 +711,7 @@ LogicVec::replicate(int n) const
         throw std::invalid_argument("replication count must be positive");
     LogicVec r(width_ * n, Bit::Zero);
     for (int k = 0; k < n; ++k)
-        for (int i = 0; i < width_; ++i)
-            r.setBit(k * width_ + i, bit(i));
+        r.writeSlice(k * width_, *this);
     return r;
 }
 

@@ -41,16 +41,32 @@ class WordStore
 {
   public:
     WordStore() = default;
-    WordStore(const WordStore &o) { copyFrom(o); }
-    WordStore(WordStore &&o) noexcept { moveFrom(o); }
-    ~WordStore() { release(); }
+    WordStore(const WordStore &o) : n_(o.n_), inline0_(o.inline0_)
+    {
+        if (o.heap_)
+            copyHeap(o);
+    }
+    WordStore(WordStore &&o) noexcept
+        : n_(o.n_), inline0_(o.inline0_), heap_(o.heap_)
+    {
+        o.heap_ = nullptr;
+        o.n_ = 0;
+    }
+    ~WordStore()
+    {
+        if (heap_)
+            delete[] heap_;
+    }
 
     WordStore &
     operator=(const WordStore &o)
     {
         if (this != &o) {
             release();
-            copyFrom(o);
+            n_ = o.n_;
+            inline0_ = o.inline0_;
+            if (o.heap_)
+                copyHeap(o);
         }
         return *this;
     }
@@ -60,13 +76,27 @@ class WordStore
     {
         if (this != &o) {
             release();
-            moveFrom(o);
+            n_ = o.n_;
+            inline0_ = o.inline0_;
+            heap_ = o.heap_;
+            o.heap_ = nullptr;
+            o.n_ = 0;
         }
         return *this;
     }
 
     /** Discard contents and hold @p n copies of @p fill. */
-    void assign(size_t n, uint64_t fill);
+    void
+    assign(size_t n, uint64_t fill)
+    {
+        if (n > 1) {
+            assignWide(n, fill);
+            return;
+        }
+        release();
+        n_ = n;
+        inline0_ = fill;
+    }
 
     size_t size() const { return n_; }
     uint64_t *data() { return heap_ ? heap_ : &inline0_; }
@@ -80,12 +110,30 @@ class WordStore
     const uint64_t *begin() const { return data(); }
     const uint64_t *end() const { return data() + n_; }
 
-    bool operator==(const WordStore &o) const;
+    bool
+    operator==(const WordStore &o) const
+    {
+        if (n_ != o.n_)
+            return false;
+        if (!heap_ && !o.heap_)
+            return n_ == 0 || inline0_ == o.inline0_;
+        return wideEqual(o);
+    }
 
   private:
-    void copyFrom(const WordStore &o);
-    void moveFrom(WordStore &o) noexcept;
-    void release();
+    /** Out-of-line wide paths: the only ones that touch the heap. */
+    void copyHeap(const WordStore &o);
+    void assignWide(size_t n, uint64_t fill);
+    bool wideEqual(const WordStore &o) const;
+
+    void
+    release()
+    {
+        if (heap_) {
+            delete[] heap_;
+            heap_ = nullptr;
+        }
+    }
 
     size_t n_ = 0;
     uint64_t inline0_ = 0;
@@ -128,10 +176,27 @@ class LogicVec
     LogicVec() : LogicVec(1, Bit::X) {}
 
     /** Construct @p width bits all set to @p fill. */
-    explicit LogicVec(int width, Bit fill = Bit::X);
+    explicit LogicVec(int width, Bit fill = Bit::X) : width_(width)
+    {
+        if (width <= 0)
+            badWidth();
+        size_t nw = static_cast<size_t>((width + 63) / 64);
+        aval_.assign(nw, (static_cast<uint8_t>(fill) & 1) ? ~0ull : 0ull);
+        bval_.assign(nw, (static_cast<uint8_t>(fill) & 2) ? ~0ull : 0ull);
+        maskTop();
+    }
 
     /** Construct @p width bits from the binary value @p value (2-state). */
-    LogicVec(int width, uint64_t value);
+    LogicVec(int width, uint64_t value) : width_(width)
+    {
+        if (width <= 0)
+            badWidth();
+        size_t nw = static_cast<size_t>((width + 63) / 64);
+        aval_.assign(nw, 0);
+        bval_.assign(nw, 0);
+        aval_[0] = value;
+        maskTop();
+    }
 
     /** Build from a string of 0/1/x/z characters, MSB first. */
     static LogicVec fromString(const std::string &bits);
@@ -145,17 +210,39 @@ class LogicVec
 
     int width() const { return width_; }
 
-    Bit bit(int i) const;
+    Bit
+    bit(int i) const
+    {
+        if (i < 0 || i >= width_)
+            return Bit::X;
+        uint64_t a = (aval_[i / 64] >> (i % 64)) & 1;
+        uint64_t b = (bval_[i / 64] >> (i % 64)) & 1;
+        return static_cast<Bit>(a | (b << 1));
+    }
     void setBit(int i, Bit b);
 
     /** True iff any bit is x or z. */
-    bool hasUnknown() const;
+    bool
+    hasUnknown() const
+    {
+        for (uint64_t w : bval_)
+            if (w != 0)
+                return true;
+        return false;
+    }
 
     /** True iff every bit is 0 (x/z bits make this false). */
     bool isAllZero() const;
 
     /** True iff at least one bit is a definite 1. */
-    bool hasOne() const;
+    bool
+    hasOne() const
+    {
+        for (int i = 0; i < words(); ++i)
+            if ((aval_[i] & ~bval_[i]) != 0)
+                return true;
+        return false;
+    }
 
     /**
      * Verilog truthiness used by if/while/ternary conditions: a value is
@@ -166,7 +253,7 @@ class LogicVec
     bool isTrue() const { return hasOne(); }
 
     /** Low 64 bits interpreted as binary; x/z bits read as 0. */
-    uint64_t toUint64() const;
+    uint64_t toUint64() const { return aval_[0] & ~bval_[0]; }
 
     /** Render MSB-first as 0/1/x/z characters. */
     std::string toString() const;
@@ -175,7 +262,11 @@ class LogicVec
     std::string toDecimalString() const;
 
     /** Exact representation equality (same width and same 4-state bits). */
-    bool identical(const LogicVec &o) const;
+    bool
+    identical(const LogicVec &o) const
+    {
+        return width_ == o.width_ && aval_ == o.aval_ && bval_ == o.bval_;
+    }
 
     bool operator==(const LogicVec &o) const { return identical(o); }
 
@@ -244,13 +335,34 @@ class LogicVec
     /** {n{a}} replication. */
     LogicVec replicate(int n) const;
 
+    /**
+     * case/casez/casex item match: equal widths after zero extension,
+     * bit for bit, except that bits where either side is z
+     * (@p z_wild) or x/z (@p xz_wild) always match.
+     */
+    bool caseMatch(const LogicVec &o, bool z_wild, bool xz_wild) const;
+
   private:
     int width_;
     WordStore aval_;
     WordStore bval_;
 
     int words() const { return static_cast<int>(aval_.size()); }
-    void maskTop();
+    /** Plane words zero-extended past the top word (bits above the
+     *  width are zero by the maskTop invariant, i.e. known 0). */
+    uint64_t aw(int i) const { return i < words() ? aval_[i] : 0; }
+    uint64_t bw(int i) const { return i < words() ? bval_[i] : 0; }
+    void
+    maskTop()
+    {
+        int rem = width_ % 64;
+        if (rem != 0) {
+            uint64_t mask = (1ull << rem) - 1;
+            aval_.back() &= mask;
+            bval_.back() &= mask;
+        }
+    }
+    [[noreturn]] static void badWidth();
     /** 1-bit helper vectors for relational/equality results. */
     static LogicVec bit1(bool v);
     static LogicVec bitX();

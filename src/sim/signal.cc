@@ -31,19 +31,37 @@ edgeMatches(Edge edge, Bit from, Bit to)
 void
 Signal::set(const LogicVec &v)
 {
-    // Hot path (a same-width write) costs one compare plus one plane
-    // copy; width-mismatched writes pay one extra resize.
-    LogicVec fitted;
-    const LogicVec *next = &v;
     if (v.width() != width()) {
-        fitted = v.resized(width());
-        next = &fitted;
-    }
-    if (next->identical(value_))
+        set(v.resized(width()));
         return;
+    }
+    if (v.identical(value_))
+        return;
+    if (waiters_.empty() && watchers_.empty()) {
+        value_ = v;
+        return;
+    }
     LogicVec old = std::move(value_);
-    value_ = *next;
+    value_ = v;
+    notify(old);
+}
 
+void
+Signal::writeBits(int lsb, const LogicVec &part)
+{
+    if (waiters_.empty() && watchers_.empty()) {
+        value_.writeSlice(lsb, part);
+        return;
+    }
+    LogicVec old = value_;
+    value_.writeSlice(lsb, part);
+    if (!value_.identical(old))
+        notify(old);
+}
+
+void
+Signal::notify(const LogicVec &old)
+{
     // Fire matching one-shot waiters and prune fired entries.
     if (!waiters_.empty()) {
         for (auto &w : waiters_) {
@@ -98,17 +116,6 @@ Memory::read(const LogicVec &addr) const
     if (a < lo_ || a > hi_)
         return LogicVec::xs(width_);
     return words_[static_cast<size_t>(a - lo_)];
-}
-
-void
-Memory::write(const LogicVec &addr, const LogicVec &v)
-{
-    if (addr.hasUnknown())
-        return;
-    int64_t a = static_cast<int64_t>(addr.toUint64());
-    if (a < lo_ || a > hi_)
-        return;
-    words_[static_cast<size_t>(a - lo_)] = v.resized(width_);
 }
 
 } // namespace cirfix::sim

@@ -74,6 +74,12 @@ class Signal
      */
     void set(const LogicVec &v);
 
+    /**
+     * Overwrite bits [lsb, lsb + part.width()) in place (the caller
+     * keeps the range inside the signal), notifying like set().
+     */
+    void writeBits(int lsb, const LogicVec &part);
+
     /** Set without notification (elaboration-time initialization). */
     void initValue(const LogicVec &v) { value_ = v.resized(width()); }
 
@@ -92,6 +98,9 @@ class Signal
     void addWatcher(Watcher w) { watchers_.push_back(std::move(w)); }
 
   private:
+    /** Fire waiters and watchers for a change away from @p old. */
+    void notify(const LogicVec &old);
+
     struct EdgeWaiter
     {
         Edge edge;
@@ -147,8 +156,19 @@ class Memory
     /** Read element @p addr; out-of-range or unknown address reads x. */
     LogicVec read(const LogicVec &addr) const;
 
-    /** Write element @p addr; out-of-range/unknown writes are ignored. */
-    void write(const LogicVec &addr, const LogicVec &v);
+    /** Write element @p addr (resized to the element width);
+     *  out-of-range writes are ignored. */
+    void
+    writeAt(int64_t addr, const LogicVec &v)
+    {
+        if (addr < lo_ || addr > hi_)
+            return;
+        LogicVec &word = words_[static_cast<size_t>(addr - lo_)];
+        if (v.width() == width_)
+            word = v;
+        else
+            word = v.resized(width_);
+    }
 
   private:
     std::string name_;

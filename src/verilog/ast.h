@@ -80,6 +80,16 @@ struct Node
     int line = 0;
     /** Full begin-end source range (invalid if synthesized). */
     Span span;
+    /**
+     * Simulator name-binding slot, or -1 before first use. The
+     * interpreter numbers the name-bearing nodes it executes (Ident,
+     * Index, RangeSel, EventCtrl, Wait, TriggerEvent) per module, on
+     * first use, and each instance scope keeps a dense table indexed by
+     * it (see sim::InstanceScope::bind). An execution cache like
+     * Stmt::suspendCache: not program structure, not copied by clones,
+     * and atomic because concurrent designs may share one AST.
+     */
+    mutable std::atomic<int32_t> bindSlot{-1};
 
     explicit Node(NodeKind k) : kind(k) {}
     virtual ~Node() = default;
@@ -808,6 +818,8 @@ struct Module : Node
     std::string name;
     std::vector<Port> ports;
     std::vector<ItemPtr> items;
+    /** Next free Node::bindSlot number for this module's nodes. */
+    mutable std::atomic<int32_t> bindSlots{0};
 
     Module() : Node(NodeKind::Module) {}
 

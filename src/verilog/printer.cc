@@ -172,7 +172,16 @@ class PrintVisitor
           case NodeKind::If: {
             auto *i = s.as<If>();
             os << pad << "if (" << expr(*i->cond) << ")\n";
-            stmtOrNull(os, i->thenStmt.get(), ind + 1);
+            if (i->elseStmt && endsInOpenIf(i->thenStmt.get())) {
+                // Without begin/end the else would bind to the inner if
+                // (dangling else) and re-parse as a different tree.
+                std::string inner(static_cast<size_t>(ind + 1) * 4, ' ');
+                os << inner << "begin\n";
+                stmt(os, *i->thenStmt, ind + 2);
+                os << inner << "end\n";
+            } else {
+                stmtOrNull(os, i->thenStmt.get(), ind + 1);
+            }
             if (i->elseStmt) {
                 os << pad << "else\n";
                 stmt(os, *i->elseStmt, ind + 1);
@@ -197,7 +206,7 @@ class PrintVisitor
                     }
                 }
                 os << " :";
-                if (it.body) {
+                if (!emptyBody(it.body.get())) {
                     os << "\n";
                     stmt(os, *it.body, ind + 2);
                 } else {
@@ -209,8 +218,8 @@ class PrintVisitor
           }
           case NodeKind::For: {
             auto *f = s.as<For>();
-            os << pad << "for (" << plainAssign(*f->init) << "; "
-               << expr(*f->cond) << "; " << plainAssign(*f->step)
+            os << pad << "for (" << forSlot(f->init.get()) << "; "
+               << expr(*f->cond) << "; " << forSlot(f->step.get())
                << ")\n";
             stmtOrNull(os, f->body.get(), ind + 1);
             break;
@@ -245,7 +254,7 @@ class PrintVisitor
           case NodeKind::DelayStmt: {
             auto *d = s.as<DelayStmt>();
             os << pad << "#" << expr(*d->delay);
-            if (d->stmt) {
+            if (!emptyBody(d->stmt.get())) {
                 os << "\n";
                 stmt(os, *d->stmt, ind + 1);
             } else {
@@ -272,7 +281,7 @@ class PrintVisitor
                 }
                 os << ")";
             }
-            if (e->stmt) {
+            if (!emptyBody(e->stmt.get())) {
                 os << "\n";
                 stmt(os, *e->stmt, ind + 1);
             } else {
@@ -283,7 +292,7 @@ class PrintVisitor
           case NodeKind::Wait: {
             auto *w = s.as<Wait>();
             os << pad << "wait (" << expr(*w->cond) << ")";
-            if (w->stmt) {
+            if (!emptyBody(w->stmt.get())) {
                 os << "\n";
                 stmt(os, *w->stmt, ind + 1);
             } else {
@@ -334,12 +343,79 @@ class PrintVisitor
         }
     }
 
+    /**
+     * A `for` init/step slot. The parser only produces assignments
+     * there, but a repair edit may put any statement (or none) in the
+     * slot; such a design fails validation, yet its patch key must
+     * still tell it apart from every other tree, so the statement is
+     * printed in full on one line (it always ends in ';' or 'end',
+     * which an assignment slot never does).
+     */
     std::string
-    plainAssign(const Stmt &s)
+    forSlot(const Stmt *s)
     {
-        auto *a = s.as<Assign>();
-        return expr(*a->lhs) + (a->blocking ? " = " : " <= ") +
-               expr(*a->rhs);
+        if (!s)
+            return "";
+        if (s->kind == NodeKind::Assign) {
+            auto *a = s->as<Assign>();
+            return expr(*a->lhs) + (a->blocking ? " = " : " <= ") +
+                   expr(*a->rhs);
+        }
+        std::ostringstream os;
+        stmt(os, *s, 0);
+        std::string text = os.str();
+        for (char &c : text)
+            if (c == '\n')
+                c = ' ';
+        while (!text.empty() && text.back() == ' ')
+            text.pop_back();
+        return text;
+    }
+
+    /**
+     * A body the parser reads back from a lone ';' as absent: printed
+     * the same way whether it is absent or a null statement, so the
+     * printed text is a fixed point of print(parse(.)).
+     */
+    static bool
+    emptyBody(const Stmt *s)
+    {
+        return !s || s->kind == NodeKind::NullStmt;
+    }
+
+    /**
+     * Does @p s end in an `if` without an else, directly or as the
+     * tail of a loop/timing-control body or of an else-branch? An
+     * `else` printed right after such a statement would bind to that
+     * inner `if`.
+     */
+    static bool
+    endsInOpenIf(const Stmt *s)
+    {
+        if (!s)
+            return false;
+        switch (s->kind) {
+          case NodeKind::If: {
+            auto *i = s->as<If>();
+            return !i->elseStmt || endsInOpenIf(i->elseStmt.get());
+          }
+          case NodeKind::For:
+            return endsInOpenIf(s->as<For>()->body.get());
+          case NodeKind::While:
+            return endsInOpenIf(s->as<While>()->body.get());
+          case NodeKind::Repeat:
+            return endsInOpenIf(s->as<Repeat>()->body.get());
+          case NodeKind::Forever:
+            return endsInOpenIf(s->as<Forever>()->body.get());
+          case NodeKind::DelayStmt:
+            return endsInOpenIf(s->as<DelayStmt>()->stmt.get());
+          case NodeKind::EventCtrl:
+            return endsInOpenIf(s->as<EventCtrl>()->stmt.get());
+          case NodeKind::Wait:
+            return endsInOpenIf(s->as<Wait>()->stmt.get());
+          default:
+            return false;
+        }
     }
 
     static std::string

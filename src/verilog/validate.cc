@@ -242,10 +242,16 @@ class Validator
           }
           case NodeKind::For: {
             auto *f = s.as<For>();
-            if (f->init)
+            // The grammar only admits an assignment in the init and
+            // step slots; a repair edit can put anything there.
+            if (!f->init || f->init->kind != NodeKind::Assign)
+                error("for-loop init is not an assignment");
+            else
                 checkStmt(*f->init);
             checkExpr(*f->cond);
-            if (f->step)
+            if (!f->step || f->step->kind != NodeKind::Assign)
+                error("for-loop step is not an assignment");
+            else
                 checkStmt(*f->step);
             if (f->body)
                 checkStmt(*f->body);

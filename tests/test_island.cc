@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
@@ -108,10 +110,15 @@ baseConfig()
     return cfg;
 }
 
+/** This file builds into both cirfix_tests and cirfix_fault_tests,
+ *  and ctest may run the two binaries concurrently, so temp paths carry
+ *  the process id: the twins must not share (or delete) each other's
+ *  files. */
 std::string
 tmpDir(const std::string &name)
 {
-    std::string d = ::testing::TempDir() + name;
+    std::string d =
+        ::testing::TempDir() + name + "." + std::to_string(::getpid());
     std::filesystem::remove_all(d);
     std::filesystem::create_directories(d);
     return d;

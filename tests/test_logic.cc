@@ -294,6 +294,218 @@ TEST(Logic, IdenticalIsExact)
     EXPECT_FALSE(v("10").identical(v("010")));  // width matters
 }
 
+// ----- storage: copies, moves and the heap-allocation counter -----
+
+/** Random 4-state bit string of @p width characters. */
+std::string
+randomBits(std::mt19937_64 &rng, int width)
+{
+    static const char kBits[] = "01xz";
+    std::string bits;
+    for (int i = 0; i < width; ++i)
+        bits.push_back(kBits[rng() % 4]);
+    return bits;
+}
+
+TEST(Logic, NarrowCopyMoveNeverAllocates)
+{
+    LogicVec a = v("1x0z1100");
+    const uint64_t before = logicHeapAllocs();
+    LogicVec b = a;             // copy
+    LogicVec c = std::move(b);  // move
+    LogicVec d(3, Bit::Z);
+    d = a;                      // copy-assign across widths
+    LogicVec &alias = d;
+    d = alias;                  // self copy-assign
+    d = std::move(alias);       // self move-assign
+    LogicVec e = LogicVec::zeros(64);
+    e = std::move(c);           // move-assign
+    EXPECT_EQ(logicHeapAllocs(), before);
+    EXPECT_EQ(d.toString(), "1x0z1100");
+    EXPECT_EQ(e.toString(), "1x0z1100");
+    EXPECT_TRUE(d.identical(a));
+}
+
+TEST(Logic, WideCopyMoveAndNarrowWideTransitions)
+{
+    std::mt19937_64 rng(7);
+    const std::string wide_bits = randomBits(rng, 130);
+    const LogicVec wide = v(wide_bits);
+    const LogicVec narrow = v("10x1");
+
+    // A copy allocates one buffer per plane; a move steals them.
+    uint64_t n0 = logicHeapAllocs();
+    LogicVec a = wide;
+    EXPECT_EQ(logicHeapAllocs(), n0 + 2);
+    LogicVec b = std::move(a);
+    EXPECT_EQ(logicHeapAllocs(), n0 + 2);
+    EXPECT_EQ(b.toString(), wide_bits);
+
+    // Self-assignment keeps the buffers and the value.
+    LogicVec &alias = b;
+    b = alias;
+    b = std::move(alias);
+    EXPECT_EQ(logicHeapAllocs(), n0 + 2);
+    EXPECT_EQ(b.toString(), wide_bits);
+
+    // Wide -> narrow frees; narrow -> wide allocates.
+    n0 = logicHeapAllocs();
+    b = narrow;
+    EXPECT_EQ(logicHeapAllocs(), n0);
+    EXPECT_EQ(b.toString(), "10x1");
+    b = wide;
+    EXPECT_EQ(logicHeapAllocs(), n0 + 2);
+    EXPECT_TRUE(b.identical(wide));
+
+    // A moved-from value can be assigned again and compares as new.
+    LogicVec c = std::move(b);
+    b = narrow;
+    EXPECT_TRUE(b.identical(narrow));
+    EXPECT_TRUE(c.identical(wide));
+    EXPECT_FALSE(c.identical(narrow));
+}
+
+TEST(Logic, WriteSliceMatchesPerBitReference)
+{
+    std::mt19937_64 rng(11);
+    for (int trial = 0; trial < 500; ++trial) {
+        int width = 1 + static_cast<int>(rng() % 200);
+        int part = 1 + static_cast<int>(rng() % 70);
+        int lsb = static_cast<int>(rng() % (width + 8)) - 4;
+        LogicVec dst = v(randomBits(rng, width));
+        LogicVec src = v(randomBits(rng, part));
+        LogicVec expect = dst;
+        for (int i = 0; i < part; ++i)
+            expect.setBit(lsb + i, src.bit(i));  // out of range: no-op
+        dst.writeSlice(lsb, src);
+        ASSERT_TRUE(dst.identical(expect))
+            << "width " << width << " part " << part << " lsb " << lsb;
+    }
+}
+
+/**
+ * The operators work a word at a time; this checks each against a
+ * per-bit statement of its 4-state definition on random vectors of
+ * mixed widths (1 to 150 bits, so operands span one to three words).
+ */
+TEST(Logic, WordParallelOperatorsMatchPerBitDefinitions)
+{
+    auto known = [](Bit b) { return b == Bit::Zero || b == Bit::One; };
+    std::mt19937_64 rng(99);
+    for (int trial = 0; trial < 400; ++trial) {
+        int wa = 1 + static_cast<int>(rng() % 150);
+        int wb = 1 + static_cast<int>(rng() % 150);
+        // Mostly-known operands, so known-only paths are exercised.
+        auto gen = [&](int w) {
+            std::string bits = randomBits(rng, w);
+            if (rng() % 2)
+                for (char &c : bits)
+                    if (c == 'x' || c == 'z')
+                        c = (rng() % 2) ? '0' : '1';
+            return v(bits);
+        };
+        LogicVec a = gen(wa), b = gen(wb);
+        int w = std::max(wa, wb);
+        LogicVec ea = a.resized(w), eb = b.resized(w);
+
+        LogicVec rand_ = LogicVec::zeros(w), ror = rand_, rxor = rand_;
+        bool eq_unknown = false, eq_mismatch = false, case_eq = true;
+        for (int i = 0; i < w; ++i) {
+            Bit x = ea.bit(i), y = eb.bit(i);
+            rand_.setBit(i, (x == Bit::Zero || y == Bit::Zero) ? Bit::Zero
+                            : (x == Bit::One && y == Bit::One) ? Bit::One
+                                                               : Bit::X);
+            ror.setBit(i, (x == Bit::One || y == Bit::One)     ? Bit::One
+                          : (x == Bit::Zero && y == Bit::Zero) ? Bit::Zero
+                                                               : Bit::X);
+            rxor.setBit(i, (!known(x) || !known(y)) ? Bit::X
+                           : (x == y)               ? Bit::Zero
+                                                    : Bit::One);
+            if (!known(x) || !known(y))
+                eq_unknown = true;
+            else if (x != y)
+                eq_mismatch = true;
+            case_eq &= (x == y);
+        }
+        ASSERT_TRUE(a.bitAnd(b).identical(rand_)) << trial;
+        ASSERT_TRUE(a.bitOr(b).identical(ror)) << trial;
+        ASSERT_TRUE(a.bitXor(b).identical(rxor)) << trial;
+        ASSERT_EQ(a.logicEq(b).toString(),
+                  eq_mismatch ? "0" : eq_unknown ? "x" : "1");
+        ASSERT_EQ(a.caseEq(b).toString(), case_eq ? "1" : "0");
+
+        // casez / casex wildcards.
+        bool mz = true, mx = true;
+        for (int i = 0; i < w; ++i) {
+            Bit x = ea.bit(i), y = eb.bit(i);
+            if (!(x == Bit::Z || y == Bit::Z) && x != y)
+                mz = false;
+            if (known(x) && known(y) && x != y)
+                mx = false;
+        }
+        ASSERT_EQ(a.caseMatch(b, true, false), mz) << trial;
+        ASSERT_EQ(a.caseMatch(b, false, true), mx) << trial;
+
+        // Arithmetic and comparisons on known operands.
+        if (!ea.hasUnknown() && !eb.hasUnknown()) {
+            LogicVec sum = a.add(b), diff = a.sub(b);
+            ASSERT_EQ(sum.width(), w);
+            ASSERT_TRUE(sum.sub(b).identical(ea)) << trial;
+            ASSERT_TRUE(diff.add(b).identical(ea)) << trial;
+            int cmp = 0;
+            for (int i = w - 1; i >= 0 && cmp == 0; --i)
+                if (ea.bit(i) != eb.bit(i))
+                    cmp = ea.bit(i) == Bit::One ? 1 : -1;
+            ASSERT_EQ(a.lt(b).isTrue(), cmp < 0);
+            ASSERT_EQ(a.ge(b).isTrue(), cmp >= 0);
+        } else {
+            ASSERT_TRUE(a.add(b).identical(LogicVec::xs(w)));
+            ASSERT_TRUE(a.sub(b).identical(LogicVec::xs(w)));
+        }
+
+        // Shifts by every distance across the word boundaries.
+        int n = static_cast<int>(rng() % (wa + 2));
+        LogicVec sl = LogicVec::zeros(wa), sr = sl;
+        for (int i = 0; i < wa; ++i) {
+            if (i - n >= 0)
+                sl.setBit(i, a.bit(i - n));
+            if (i + n < wa)
+                sr.setBit(i, a.bit(i + n));
+        }
+        ASSERT_TRUE(a.shl(LogicVec(32, static_cast<uint64_t>(n)))
+                        .identical(sl))
+            << trial;
+        ASSERT_TRUE(a.shr(LogicVec(32, static_cast<uint64_t>(n)))
+                        .identical(sr))
+            << trial;
+
+        // Reductions.
+        bool any0 = false, any1 = false, anyu = false;
+        int parity = 0;
+        for (int i = 0; i < wa; ++i) {
+            Bit x = a.bit(i);
+            any0 |= x == Bit::Zero;
+            any1 |= x == Bit::One;
+            anyu |= !known(x);
+            parity ^= x == Bit::One;
+        }
+        ASSERT_EQ(a.reduceAnd().toString(),
+                  any0 ? "0" : anyu ? "x" : "1");
+        ASSERT_EQ(a.reduceOr().toString(), any1 ? "1" : anyu ? "x" : "0");
+        ASSERT_EQ(a.reduceXor().toString(),
+                  anyu ? "x" : parity ? "1" : "0");
+
+        // Concatenation and replication are bit-string operations.
+        ASSERT_EQ(LogicVec::concat(a, b).toString(),
+                  a.toString() + b.toString());
+        int k = 1 + static_cast<int>(rng() % 3);
+        std::string rep;
+        for (int i = 0; i < k; ++i)
+            rep += a.toString();
+        ASSERT_EQ(a.replicate(k).toString(), rep);
+    }
+}
+
 // ----- property-style sweeps -----
 
 class LogicArithProperty : public ::testing::TestWithParam<uint64_t>

@@ -11,6 +11,7 @@
 #include "core/patch.h"
 #include "verilog/parser.h"
 #include "verilog/printer.h"
+#include "verilog/validate.h"
 
 using namespace cirfix;
 using namespace cirfix::core;
@@ -320,6 +321,82 @@ randomPatch(std::mt19937_64 &rng)
     for (size_t i = 0; i < len; ++i)
         p.edits.push_back(randomEdit(rng));
     return p;
+}
+
+/**
+ * Delete/Replace may target a `for` loop's init or step slot, which
+ * the grammar restricts to an assignment. Such a design must fail
+ * validation, and printing it (for Patch::key() of a later edit that
+ * uses the loop as donor code, or for the repaired source) must not
+ * assume the slot holds an assignment.
+ */
+TEST(Patch, ForInitAndStepEditsPrintAndFailValidation)
+{
+    auto f = parse(R"(
+module m (clk);
+    input clk;
+    reg [3:0] q;
+    integer i;
+    always @(posedge clk)
+        for (i = 0; i < 4; i = i + 1) q = q + 1;
+endmodule
+)");
+    int init_id = -1, step_id = -1;
+    visitAll(*f, [&](Node &n) {
+        if (n.kind == NodeKind::For) {
+            init_id = n.as<For>()->init->id;
+            step_id = n.as<For>()->step->id;
+        }
+    });
+    ASSERT_GE(init_id, 0);
+    ASSERT_TRUE(isValid(*f));
+
+    Patch del;
+    {
+        Edit e;
+        e.kind = EditKind::Delete;
+        e.target = init_id;
+        del.edits.push_back(std::move(e));
+    }
+    Patch repl;
+    {
+        Edit e;
+        e.kind = EditKind::Replace;
+        e.target = step_id;
+        e.code = parseDonor("$display(\"x\");");
+        repl.edits.push_back(std::move(e));
+    }
+    auto a = applyPatch(*f, del);
+    auto b = applyPatch(*f, repl);
+    EXPECT_FALSE(isValid(*a));
+    EXPECT_FALSE(isValid(*b));
+    // Both print, and differently from each other and the original.
+    std::string pa = print(*a), pb = print(*b), p0 = print(*f);
+    EXPECT_NE(pa, p0);
+    EXPECT_NE(pb, p0);
+    EXPECT_NE(pa, pb);
+
+    // The broken loops as donor code: their keys print the slots.
+    auto donorFor = [](SourceFile &file) {
+        StmtPtr out;
+        visitAll(file, [&](Node &n) {
+            if (n.kind == NodeKind::For && !out)
+                out = n.as<For>()->cloneStmt();
+        });
+        return out;
+    };
+    Patch use_a, use_b;
+    for (auto *pair : {&use_a, &use_b}) {
+        Edit e;
+        e.kind = EditKind::InsertAfter;
+        e.target = init_id;
+        e.code = donorFor(pair == &use_a ? *a : *b);
+        ASSERT_TRUE(e.code);
+        pair->edits.push_back(std::move(e));
+    }
+    EXPECT_NE(use_a.key(), use_b.key());
+    EXPECT_EQ(use_a.key(), Patch(use_a).key());
+    EXPECT_FALSE(isValid(*applyPatch(*a, use_a)));
 }
 
 TEST(PatchKey, EqualEditListsHashEqual)

@@ -3,6 +3,7 @@
  * Unit tests for the stratified event scheduler.
  */
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -259,6 +260,112 @@ endmodule
     for (int t = 0; t < kThreads; ++t)
         EXPECT_EQ(traces[static_cast<size_t>(t)], expected)
             << "thread " << t << " diverged";
+}
+
+/**
+ * The interpreter numbers name-bearing AST nodes on first use
+ * (Node::bindSlot, per-module counter) and each instance scope keeps
+ * its own table of what the numbers denote. Two designs simulating
+ * one shared AST race on that numbering; each node must still end up
+ * with exactly one number, distinct within its module, and both runs
+ * must match a serial run. Covers every bound form: identifiers,
+ * bit/part selects, memories, parameters, @*, edge lists, wait and
+ * named events, across two instances of one module.
+ */
+TEST(SchedulerStress, SharedAstNameBindingIsPerDesign)
+{
+    const char *src = R"(
+module cell (clk, d, q);
+    parameter INIT = 4'd5;
+    input clk;
+    input [3:0] d;
+    output [3:0] q;
+    reg [3:0] q;
+    reg [3:0] mem [0:3];
+    reg [3:0] comb;
+    event kick;
+    initial q = INIT;
+    always @(*) comb = {d[1:0], d[3:2]} ^ INIT;
+    always @(posedge clk) begin
+        mem[d[1:0]] <= comb;
+        q[2:0] <= mem[d[1:0]] + comb[2:0];
+        q[3] <= comb[0];
+        -> kick;
+    end
+    always @(kick) q[3] <= !q[3];
+endmodule
+module tb;
+    reg clk;
+    reg [3:0] d;
+    wire [3:0] q1, q2;
+    reg done;
+    cell c1 (.clk(clk), .d(d), .q(q1));
+    cell c2 (.clk(clk), .d(d ^ 4'b1010), .q(q2));
+    initial begin
+        clk = 0;
+        d = 0;
+        done = 0;
+        repeat (24) begin
+            #5 clk = 1;
+            #5 clk = 0;
+            d = d + 4'd3;
+        end
+        done = 1;
+    end
+    initial begin
+        wait (done) #1 $finish;
+    end
+endmodule
+)";
+    std::shared_ptr<const cirfix::verilog::SourceFile> file =
+        cirfix::verilog::parse(src);
+    ProbeConfig probe = deriveProbeConfig(*file, "tb");
+
+    std::string expected;
+    {
+        auto design = elaborate(*file, "tb");  // private clone
+        TraceRecorder rec(*design, probe);
+        design->run();
+        expected = rec.takeTrace().toCsv();
+    }
+    ASSERT_FALSE(expected.empty());
+
+    for (int round = 0; round < 4; ++round) {
+        std::string traces[2];
+        std::thread a([&] {
+            auto design = elaborate(file, "tb");
+            TraceRecorder rec(*design, probe);
+            design->run();
+            traces[0] = rec.takeTrace().toCsv();
+        });
+        std::thread b([&] {
+            auto design = elaborate(file, "tb");
+            TraceRecorder rec(*design, probe);
+            design->run();
+            traces[1] = rec.takeTrace().toCsv();
+        });
+        a.join();
+        b.join();
+        EXPECT_EQ(traces[0], expected) << "round " << round;
+        EXPECT_EQ(traces[1], expected) << "round " << round;
+    }
+
+    for (auto &mod : file->modules) {
+        std::vector<int32_t> slots;
+        cirfix::verilog::visitAll(
+            const_cast<cirfix::verilog::Module &>(*mod),
+            [&](cirfix::verilog::Node &n) {
+                int32_t s = n.bindSlot.load();
+                if (s >= 0)
+                    slots.push_back(s);
+            });
+        EXPECT_FALSE(slots.empty()) << mod->name;
+        std::sort(slots.begin(), slots.end());
+        EXPECT_TRUE(std::adjacent_find(slots.begin(), slots.end()) ==
+                    slots.end())
+            << mod->name << ": two nodes share a slot";
+        EXPECT_LT(slots.back(), mod->bindSlots.load()) << mod->name;
+    }
 }
 
 } // namespace

@@ -409,6 +409,107 @@ endmodule
     EXPECT_EQ(s.value("r"), 7u);
 }
 
+TEST(Sim, NameResolutionPrecedence)
+{
+    // A name may denote a signal, memory or named event and also a
+    // parameter; which one wins depends on the reference's form.
+    Sim s(R"(
+module t;
+    parameter S = 4'b1010;
+    parameter P = 4'b0110;
+    parameter M = 4'b1111;
+    reg [3:0] S;
+    reg [3:0] M [0:1];
+    reg [3:0] r_ident, r_pident, r_mident, r_rs, r_prs, r_mem, r_m1;
+    reg [3:0] r_pafter;
+    reg r_idx, r_pidx;
+    initial begin
+        S = 4'b0001;
+        M[0] = 4'b0101;
+        M[1] = 4'hc;
+        P[0] = 1'b1;
+        S[3] = 1'b1;
+        r_ident = S;
+        r_pident = P;
+        r_mident = M;
+        r_idx = S[0];
+        r_pidx = P[1];
+        r_rs = S[3:1];
+        r_prs = P[2:1];
+        r_mem = M[0];
+        r_m1 = M[1];
+        r_pafter = P;
+    end
+endmodule
+)");
+    EXPECT_EQ(s.bits("r_ident"), "1001");   // Ident: signal first
+    EXPECT_EQ(s.bits("r_pident"), "0110");  // ... then parameter
+    EXPECT_EQ(s.bits("r_mident"), "1111");  // Ident never reads memory
+    EXPECT_EQ(s.value("r_idx"), 1u);        // Index: signal over param
+    EXPECT_EQ(s.value("r_pidx"), 1u);       // ... then parameter bit
+    EXPECT_EQ(s.bits("r_rs"), "0100");      // RangeSel: signal first
+    EXPECT_EQ(s.bits("r_prs"), "0011");     // ... then parameter
+    EXPECT_EQ(s.bits("r_mem"), "0101");     // Index: memory over param
+    EXPECT_EQ(s.bits("r_m1"), "1100");      // Index lvalue: memory
+    EXPECT_EQ(s.bits("r_pafter"), "0110");  // writes to a param drop
+}
+
+TEST(Sim, InstancesOfOneModuleBindTheirOwnNames)
+{
+    // Both instances execute the same AST nodes; each scope resolves
+    // them to its own signals and parameter values.
+    Sim s(R"(
+module inc (input [3:0] a, output [3:0] y);
+    parameter K = 1;
+    reg [3:0] q;
+    always @(a) q = a + K;
+    assign y = q;
+endmodule
+module t;
+    reg [3:0] x1, x2;
+    wire [3:0] y1, y2;
+    inc u1 (.a(x1), .y(y1));
+    inc u2 (.a(x2), .y(y2));
+    reg [3:0] r1, r2;
+    initial begin
+        #1 x1 = 4'd3;
+        x2 = 4'd9;
+        #1 r1 = y1;
+        r2 = y2;
+    end
+endmodule
+)");
+    EXPECT_EQ(s.value("r1"), 4u);
+    EXPECT_EQ(s.value("r2"), 10u);
+    EXPECT_EQ(s.value("u1.q"), 4u);
+    EXPECT_EQ(s.value("u2.q"), 10u);
+}
+
+TEST(Sim, EventOnRunTimeBitSelect)
+{
+    // The watched bit of @(posedge v[i]) is taken from i at each wait.
+    Sim s(R"(
+module t;
+    reg [3:0] v;
+    reg [1:0] i;
+    reg [3:0] hits;
+    initial begin
+        hits = 0;
+        v = 0;
+        i = 2;
+        #1 v[1] = 1;       // not watched
+        #1 i = 3;
+        v[2] = 1;          // hit 1; the next wait watches v[3]
+        #1 v[2] = 0;
+        #1 v[2] = 1;       // no longer watched
+        #1 v[3] = 1;       // hit 2
+    end
+    always @(posedge v[i]) hits = hits + 1;
+endmodule
+)");
+    EXPECT_EQ(s.value("hits"), 2u);
+}
+
 TEST(Sim, WidthMismatchedPortBridges)
 {
     // 1-bit output into a 4-bit parent wire: low bit drives, rest 0.

@@ -102,10 +102,15 @@ struct MiniScenario
     }
 };
 
+/** This file builds into both cirfix_tests and cirfix_fault_tests,
+ *  and ctest may run the two binaries concurrently, so temp paths carry
+ *  the process id: the twins must not share (or delete) each other's
+ *  files. */
 std::string
 tmpPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + std::to_string(::getpid()) + "." +
+           name;
 }
 
 std::string

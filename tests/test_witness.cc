@@ -20,6 +20,8 @@
 
 #include <algorithm>
 
+#include <unistd.h>
+
 #include "benchmarks/registry.h"
 #include "core/oracle.h"
 #include "core/scenario.h"
@@ -109,10 +111,15 @@ fastConfig(uint64_t seed = 42)
     return cfg;
 }
 
+/** This file builds into both cirfix_tests and cirfix_fault_tests,
+ *  and ctest may run the two binaries concurrently, so temp paths carry
+ *  the process id: the twins must not share (or delete) each other's
+ *  files. */
 std::string
 tmpPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + std::to_string(::getpid()) + "." +
+           name;
 }
 
 /** The golden design must score a perfect fitness under @p bench. */
